@@ -5,8 +5,9 @@ report (--json PATH).  Reports use a fixed key order and 17-significant-digit
 floats so identical invocations produce identical bytes; the only field that
 varies between runs is wall_time_s.
 
-Exit codes: 0 ok (verdict failures included), 2 load/usage error,
-3 dimension error, 4 unsupported grid request.
+Exit codes: 0 ok (verdict failures included), 2 load/usage error or a
+problem function undefined at an evaluated point, 3 dimension error,
+4 unsupported grid request.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alm as alm_mod
+from .expr import DomainError
 from .grid import GridUnsupported, run_grid
 from .lower import Inconsistent, SingularJacobian, check_jacobian_uniqueness, solve_lower
 from .numerics import Infeasible, NonFinite, Singular, fd_jacobian
@@ -707,6 +709,9 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DomainError as exc:
+        print(f"error: problem function undefined at an evaluated point: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

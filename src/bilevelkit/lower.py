@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Singular
+from .numerics import Singular, lu_factor, min_eig_sym, nullspace_basis
 from .problem import BilevelProblem
 
 DEFAULT_TAU_ACT = 1e-7
@@ -180,9 +180,10 @@ def check_jacobian_uniqueness(
 ) -> JacobianUniquenessReport:
     """Report KKT, LICQ, strict complementarity, and curvature verdicts.
 
-    Never raises: every failure shows up as a False verdict with its
-    evidence.  Infeasible inequality components are counted as inactive for
-    the gradient stack; the KKT verdict reports the violation anyway.
+    Every regularity failure shows up as a False verdict with its evidence;
+    only a DomainError from evaluating a problem function at the point
+    propagates.  Infeasible inequality components are counted as inactive
+    for the gradient stack; the KKT verdict reports the violation anyway.
     """
     tols = tols or CheckTolerances()
     x = np.asarray(x, dtype=float)
@@ -196,21 +197,14 @@ def check_jacobian_uniqueness(
 
     g_vals = _eval_stack(problem.g, x, y)
     alpha, beta, _, _ = _classify(g_vals, xi, tols.tau_act)
-    active = sorted(alpha + beta)
+    active = [problem.g[i] for i in sorted(alpha + beta)]
 
-    rows = []
-    for fn in problem.h:
-        rows.append(fn.grad_y(x, y))
-    for i in active:
-        rows.append(problem.g[i].grad_y(x, y))
-    if rows:
-        stacked = np.vstack(rows)
+    stacked = _grad_y_stack(list(problem.h) + active, x, y, problem.m)
+    if stacked.shape[0]:
         sv = np.linalg.svd(stacked, compute_uv=False)
-        smallest, largest = float(sv[-1]), float(sv[0])
-        licq_ok = smallest > tols.licq_rel * (1.0 + largest)
-        min_sv = smallest
+        min_sv = float(sv[-1])
+        licq_ok = min_sv > tols.licq_rel * (1.0 + float(sv[0]))
     else:
-        stacked = np.zeros((0, problem.m))
         licq_ok = True
         min_sv = float("inf")
 
@@ -225,8 +219,6 @@ def check_jacobian_uniqueness(
         sosc_ok = False
         min_eig = float("nan")
     else:
-        from .numerics import min_eig_sym, nullspace_basis
-
         z = nullspace_basis(stacked)
         if z.shape[1] == 0:
             sosc_ok = True
@@ -249,15 +241,19 @@ def check_jacobian_uniqueness(
     )
 
 
+def _branch_weights(g_vals: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """w_i = 0 where g_i + xi_i >= 0 (projection clamps, active branch), else 1."""
+    return np.where(g_vals + xi >= 0.0, 0.0, 1.0)
+
+
 def newton_weights(problem: BilevelProblem, x, y, xi) -> np.ndarray:
     """Branch selector for the semismooth complementarity rows.
 
-    w_i = 0 where g_i + xi_i >= 0 (projection clamps, active branch) and 1
-    otherwise.  At feasible points with strict complementarity this agrees
-    with the 0/1 diagonal built from the active sets.
+    At feasible points with strict complementarity this agrees with the 0/1
+    weights built from the active sets.
     """
     g_vals = _eval_stack(problem.g, np.asarray(x, float), np.asarray(y, float))
-    return np.where(g_vals + np.asarray(xi, float) >= 0.0, 0.0, 1.0)
+    return _branch_weights(g_vals, np.asarray(xi, float))
 
 
 def _assemble_k(problem: BilevelProblem, x, y, mu, xi, w: np.ndarray) -> np.ndarray:
@@ -295,8 +291,6 @@ def solve_lower(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    from .numerics import lu_factor
-
     x = np.asarray(x, dtype=float)
     m, r, s = problem.m, problem.r, problem.s
     y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()

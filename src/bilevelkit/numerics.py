@@ -1,28 +1,28 @@
 """Dense linear algebra kernels, a small bounded-variable LP solver, and
 finite differences.
 
-Every system produced by the rest of the package is tiny (tens of rows), so
-the implementations favour strict error reporting and predictable behaviour
-over asymptotics.  Matrices are plain 2-D numpy arrays in row-major order;
-vectors are 1-D arrays.
+Every system produced by the rest of the package is tiny (tens of rows).  The
+linear algebra runs on numpy's LAPACK routines behind strict shape, finiteness
+and singularity checks; numpy has no LP, so the bounded simplex lives here.
+Matrices are plain 2-D numpy arrays in row-major order; vectors are 1-D
+arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Matrix = np.ndarray
 Vector = np.ndarray
 
-# Relative pivot threshold below which an LU factorization is declared singular.
+# Relative singular-value threshold below which a matrix is declared singular.
 SINGULAR_REL_TOL = 1e-12
 
 
 class Singular(ArithmeticError):
-    """An elimination pivot fell below the relative singularity threshold."""
+    """The smallest singular value fell below the relative singularity threshold."""
 
 
 class NotSymmetric(ValueError):
@@ -46,69 +46,39 @@ def _as_square(a) -> Matrix:
 
 @dataclass(frozen=True)
 class LuFactorization:
-    """LU factors of a square matrix with partial pivoting.
+    """A square matrix certified nonsingular by lu_factor.
 
-    `lu` stores L (unit diagonal, below) and U (on and above the diagonal),
-    `perm` the row permutation, and `cond_estimate` a cheap pivot-growth
-    proxy for the condition number (pivot ratio times element growth).
+    `cond_estimate` is its 2-norm condition number smax / smin.
     """
 
-    lu: Matrix
-    perm: np.ndarray
+    a: Matrix
     cond_estimate: float
 
     def solve(self, b):
         """Solve A x = b for a vector or a matrix of right-hand sides."""
-        lu, perm = self.lu, self.perm
-        n = lu.shape[0]
-        x = np.array(np.asarray(b, dtype=float)[perm], dtype=float)
-        if x.shape[0] != n:
-            raise ValueError(f"rhs has {x.shape[0]} rows, expected {n}")
-        for k in range(n):  # forward substitution, unit lower triangle
-            x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
-        for k in range(n - 1, -1, -1):  # back substitution
-            x[k] -= lu[k, k + 1:] @ x[k + 1:]
-            x[k] /= lu[k, k]
-        return x
+        b = np.asarray(b, dtype=float)
+        n = self.a.shape[0]
+        if b.shape[0] != n:
+            raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
+        return np.linalg.solve(self.a, b)
 
 
 def lu_factor(a) -> LuFactorization:
-    """Factor a square matrix by Gaussian elimination with partial pivoting.
+    """Check a square matrix for numerical singularity before solving with it.
 
-    Raises Singular when any pivot magnitude drops below
-    SINGULAR_REL_TOL times the largest entry of the input.
+    Raises Singular when the smallest singular value is at most
+    SINGULAR_REL_TOL times the largest (so always for a zero matrix).
     """
     a = _as_square(a)
-    n = a.shape[0]
-    maxabs = float(np.max(np.abs(a))) if a.size else 0.0
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    if n > 0 and maxabs == 0.0:
-        raise Singular("zero matrix")
-    threshold = SINGULAR_REL_TOL * maxabs
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < threshold:
-            raise Singular(f"pivot {abs(lu[p, k]):.3e} below {threshold:.3e} at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    if n == 0:
-        cond = 1.0
-    else:
-        piv = np.abs(np.diag(lu))
-        growth = float(np.max(np.abs(lu))) / maxabs
-        cond = float(piv.max() / piv.min()) * max(growth, 1.0)
-    return LuFactorization(lu=lu, perm=perm, cond_estimate=cond)
-
-
-def lu_solve(a, b):
-    """Solve the square system A x = b via LU with partial pivoting."""
-    return lu_factor(a).solve(b)
+    if a.shape[0] == 0:
+        return LuFactorization(a=a, cond_estimate=1.0)
+    sv = np.linalg.svd(a, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    if smin <= SINGULAR_REL_TOL * smax:
+        raise Singular(f"smallest singular value {smin:.3e} at most {SINGULAR_REL_TOL:g} x {smax:.3e}")
+    return LuFactorization(a=a, cond_estimate=smax / smin)
 
 
 def nullspace_basis(a, tol: float | None = None) -> Matrix:
@@ -131,43 +101,18 @@ def nullspace_basis(a, tol: float | None = None) -> Matrix:
 
 
 def min_eig_sym(s, sym_tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a symmetric matrix via cyclic Jacobi rotations.
+    """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric eigensolver).
 
-    Raises NotSymmetric when max|S - S^T| exceeds sym_tol * max(1, ||S||_inf).
-    Absolute accuracy is on the order of 1e-12 * ||S||_inf.
+    Raises NotSymmetric when max|S - S^T| exceeds sym_tol * max(1, ||S||_max).
     """
     s = _as_square(s)
-    n = s.shape[0]
-    if n == 0:
+    if s.shape[0] == 0:
         raise ValueError("empty matrix has no eigenvalues")
     scale = max(1.0, float(np.max(np.abs(s))))
     asym = float(np.max(np.abs(s - s.T)))
     if asym > sym_tol * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {sym_tol * scale:.3e}")
-    b = 0.5 * (s + s.T)
-    if n == 1:
-        return float(b[0, 0])
-    for _ in range(100):
-        off = float(np.max(np.abs(b - np.diag(np.diag(b)))))
-        if off <= 1e-13 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = b[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                t = sign / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                bp = c * b[:, p] - sn * b[:, q]
-                bq = sn * b[:, p] + c * b[:, q]
-                b[:, p], b[:, q] = bp, bq
-                bp = c * b[p, :] - sn * b[q, :]
-                bq = sn * b[p, :] + c * b[q, :]
-                b[p, :], b[q, :] = bp, bq
-    return float(np.min(np.diag(b)))
+    return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 
 @dataclass(frozen=True)
@@ -222,7 +167,7 @@ def _simplex(c, a, b, lo, hi, basis, stat, tol, max_iter):
         x[basis] = 0.0
         xb = fac.solve(b - a @ x)
         x[basis] = xb
-        y = lu_factor(bmat.T).solve(c[basis])
+        y = np.linalg.solve(bmat.T, c[basis])  # nonsingular: bmat passed lu_factor
         z = c - a.T @ y
         enter = -1
         for j in range(n):

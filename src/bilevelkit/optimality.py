@@ -20,8 +20,14 @@ import numpy as np
 from . import expr as ex
 from .lower import (
     DEFAULT_TAU_ACT,
+    _assemble_k,
+    _branch_weights,
+    _eval_stack,
+    _grad_x_stack,
+    _grad_y_stack,
     active_sets,
     lower_lagrangian,
+    newton_weights,
     solve_lower,
 )
 from .numerics import (
@@ -34,7 +40,7 @@ from .numerics import (
     nullspace_basis,
 )
 from .problem import BilevelProblem, PrimalDualPoint, UpperMultiplier
-from .sensitivity import SingularK, implicit_jacobians
+from .sensitivity import SingularK, build_w, implicit_jacobians
 
 
 class NondifferentiablePoint(ArithmeticError):
@@ -123,41 +129,27 @@ def _kink_weights(problem: BilevelProblem, x, y, xi, kink_tol):
 
     kink_tol None disables the guard entirely; 0.0 flags only an exact hit.
     """
-    g_vals = np.array([fn.value(x, y) for fn in problem.g])
-    v = g_vals + xi
+    g_vals = _eval_stack(problem.g, x, y)
     if kink_tol is not None and problem.s:
-        offenders = np.flatnonzero(np.abs(v) <= kink_tol)
+        offenders = np.flatnonzero(np.abs(g_vals + xi) <= kink_tol)
         if offenders.size:
             raise NondifferentiablePoint(offenders.tolist())
-    w = np.where(v >= 0.0, 0.0, 1.0)
-    return w, g_vals
+    return _branch_weights(g_vals, xi), g_vals
 
 
 def fp_constraints(problem: BilevelProblem, u: PrimalDualPoint) -> FpConstraintValue:
     """Evaluate all five constraint blocks of the reformulated problem."""
     x, y, mu, xi = u.x, u.y, u.mu, u.xi
     _, grad_l, _, _ = lower_lagrangian(problem, x, y, mu, xi)
-    h_vals = np.array([fn.value(x, y) for fn in problem.h])
-    g_vals = np.array([fn.value(x, y) for fn in problem.g])
+    h_vals = _eval_stack(problem.h, x, y)
+    g_vals = _eval_stack(problem.g, x, y)
     return FpConstraintValue(
-        H=np.array([fn.value(x, y) for fn in problem.H]),
-        G=np.array([fn.value(x, y) for fn in problem.G]),
+        H=_eval_stack(problem.H, x, y),
+        G=_eval_stack(problem.G, x, y),
         gradL=grad_l,
         h=h_vals,
         comp=g_vals - np.minimum(g_vals + xi, 0.0),
     )
-
-
-def _stack_grad_x(funcs, x, y, n):
-    if not funcs:
-        return np.zeros((0, n))
-    return np.vstack([fn.grad_x(x, y) for fn in funcs])
-
-
-def _stack_grad_y(funcs, x, y, m):
-    if not funcs:
-        return np.zeros((0, m))
-    return np.vstack([fn.grad_y(x, y) for fn in funcs])
 
 
 def fp_lagrangian_grad(
@@ -178,7 +170,7 @@ def fp_lagrangian_grad(
     w, g_vals = _kink_weights(problem, x, y, xi, kink_tol)
 
     _, grad_l, hess_yy, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    h_vals = np.array([fn.value(x, y) for fn in problem.h])
+    h_vals = _eval_stack(problem.h, x, y)
     comp = g_vals - np.minimum(g_vals + xi, 0.0)
 
     value = problem.F.value(x, y)
@@ -203,8 +195,8 @@ def fp_lagrangian_grad(
         grad_x = grad_x + coef * (1.0 - wi) * fn.grad_x(x, y)
         grad_y = grad_y + coef * (1.0 - wi) * fn.grad_y(x, y)
 
-    jyh = _stack_grad_y(problem.h, x, y, m)
-    jyg = _stack_grad_y(problem.g, x, y, m)
+    jyh = _grad_y_stack(problem.h, x, y, m)
+    jyg = _grad_y_stack(problem.g, x, y, m)
     grad_mu = jyh @ lam.lam_L if r else np.zeros(0)
     grad_xi = (jyg @ lam.lam_L - w * lam.lam_g) if s else np.zeros(0)
 
@@ -228,8 +220,6 @@ def recover_multipliers(problem: BilevelProblem, u: PrimalDualPoint, lam_H=None,
         grad_y_upper = grad_y_upper + coef * fn.grad_y(x, y)
     for coef, fn in zip(lam_G, problem.G):
         grad_y_upper = grad_y_upper + coef * fn.grad_y(x, y)
-
-    from .lower import _assemble_k, newton_weights
 
     w = newton_weights(problem, x, y, xi)
     k = _assemble_k(problem, x, y, mu, xi, w)
@@ -319,15 +309,14 @@ def _equality_jacobian(problem: BilevelProblem, u: PrimalDualPoint, w: np.ndarra
     n, m, p, r, s = problem.n, problem.m, problem.p, problem.r, problem.s
 
     _, _, hess_yy, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    jxh = _stack_grad_x(problem.h, x, y, n)
-    jyh = _stack_grad_y(problem.h, x, y, m)
-    jxg = _stack_grad_x(problem.g, x, y, n)
-    jyg = _stack_grad_y(problem.g, x, y, m)
+    jxh = _grad_x_stack(problem.h, x, y, n)
+    jyh = _grad_y_stack(problem.h, x, y, m)
+    jxg = _grad_x_stack(problem.g, x, y, n)
+    jyg = _grad_y_stack(problem.g, x, y, m)
 
     a = np.zeros((p + m + r + s, n + m + r + s))
-    for k, fn in enumerate(problem.H):
-        a[k, :n] = fn.grad_x(x, y)
-        a[k, n:n + m] = fn.grad_y(x, y)
+    a[:p, :n] = _grad_x_stack(problem.H, x, y, n)
+    a[:p, n:n + m] = _grad_y_stack(problem.H, x, y, m)
     a[p:p + m, :n] = hess_yx
     a[p:p + m, n:n + m] = hess_yy
     a[p:p + m, n + m:n + m + r] = jyh.T
@@ -367,11 +356,7 @@ def matrix_a(problem: BilevelProblem, u: PrimalDualPoint, tau_act: float = DEFAU
     complementarity rows.  Shape (p+m+r+s) x (n+m+r+s).  Weights come from
     the active sets, so strict complementarity is required.
     """
-    from .sensitivity import build_w
-
-    act = active_sets(problem, u.x, u.y, u.xi, tau_act)
-    w = np.diag(build_w(act))
-    return _equality_jacobian(problem, u, w)
+    return _equality_jacobian(problem, u, build_w(active_sets(problem, u.x, u.y, u.xi, tau_act)))
 
 
 def _grad_u_upper(fn, x, y, n, m, r, s) -> np.ndarray:
@@ -405,7 +390,7 @@ def check_mfcq_fp(
         min_sv = float("inf")
         rank_ok = True
 
-    g_upper = np.array([fn.value(x, y) for fn in problem.G])
+    g_upper = _eval_stack(problem.G, x, y)
     active = tuple(int(i) for i in np.flatnonzero(g_upper >= -tau_act))
 
     nu = n + m + r + s
@@ -473,7 +458,7 @@ def critical_cone_fp(
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
     a = matrix_a(problem, u, tau_act)
 
-    g_upper = np.array([fn.value(x, y) for fn in problem.G])
+    g_upper = _eval_stack(problem.G, x, y)
     active = tuple(int(i) for i in np.flatnonzero(g_upper >= -tau_act))
     nu = n + m + r + s
     if active:

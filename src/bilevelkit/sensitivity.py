@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lower as _lower
-from .lower import ActiveSets, active_sets, kkt_residual, lower_lagrangian
+from .lower import (
+    DEFAULT_TAU_ACT,
+    ActiveSets,
+    _assemble_k,
+    _grad_x_stack,
+    active_sets,
+    kkt_residual,
+    lower_lagrangian,
+)
 from .numerics import Singular, lu_factor
 from .problem import BilevelProblem
 
@@ -36,7 +43,7 @@ class SensitivityResult:
 
     W is the diagonal 0/1 projection Jacobian; Jy, Jmu, Jxi are the
     x-derivatives of the implicit primal and dual solutions; cond_estimate is
-    the LU growth proxy for K (diagnostic only).
+    the 2-norm condition number of K (diagnostic only).
     """
 
     K: np.ndarray
@@ -48,24 +55,21 @@ class SensitivityResult:
 
 
 def build_w(active: ActiveSets) -> np.ndarray:
-    """Diagonal projection Jacobian: 0 on alpha, 1 on gamma; beta forbidden."""
+    """Diagonal of the projection Jacobian: 0 on alpha, 1 on gamma; beta forbidden."""
     if active.beta:
         raise StrictComplementarityViolated(
             f"biactive indices {list(active.beta)}; resolve degeneracy first"
         )
-    size = len(active.alpha) + len(active.gamma)
-    w = np.zeros(size)
-    for i in active.gamma:
-        w[i] = 1.0
-    return np.diag(w)
+    w = np.zeros(len(active.alpha) + len(active.gamma))
+    w[list(active.gamma)] = 1.0
+    return w
 
 
 def build_k(problem: BilevelProblem, x, y, mu, xi, active: ActiveSets) -> np.ndarray:
     """Assemble the (m+r+s)-square KKT-system Jacobian for the given active sets."""
-    w = np.diag(build_w(active))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _lower._assemble_k(problem, x, y, np.asarray(mu, float), np.asarray(xi, float), w)
+    return _assemble_k(problem, x, y, np.asarray(mu, float), np.asarray(xi, float), build_w(active))
 
 
 def implicit_jacobians(
@@ -74,7 +78,7 @@ def implicit_jacobians(
     y,
     mu,
     xi,
-    tau_act: float = _lower.DEFAULT_TAU_ACT,
+    tau_act: float = DEFAULT_TAU_ACT,
     kkt_tol: float = 1e-7,
 ) -> SensitivityResult:
     """Solve K * (Jy; Jmu; Jxi) = -(hess_yx L; Jx h; (I-W) Jx g) at a KKT point.
@@ -92,15 +96,12 @@ def implicit_jacobians(
     if res.size and np.linalg.norm(res, np.inf) > kkt_tol:
         raise NotKkt(f"KKT residual {np.linalg.norm(res, np.inf):.3e} exceeds {kkt_tol}")
 
-    active = active_sets(problem, x, y, xi, tau_act)
-    w_mat = build_w(active)
-    w = np.diag(w_mat)
-
-    k = _lower._assemble_k(problem, x, y, mu, xi, w)
+    w = build_w(active_sets(problem, x, y, xi, tau_act))
+    k = _assemble_k(problem, x, y, mu, xi, w)
 
     _, _, _, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    jxh = _lower._grad_x_stack(problem.h, x, y, n)
-    jxg = _lower._grad_x_stack(problem.g, x, y, n)
+    jxh = _grad_x_stack(problem.h, x, y, n)
+    jxg = _grad_x_stack(problem.g, x, y, n)
     rhs = np.vstack([hess_yx, jxh, (1.0 - w)[:, None] * jxg])
 
     try:
@@ -111,7 +112,7 @@ def implicit_jacobians(
 
     return SensitivityResult(
         K=k,
-        W=w_mat,
+        W=np.diag(w),
         Jy=stacked[:m].reshape(m, n),
         Jmu=stacked[m:m + r].reshape(r, n),
         Jxi=stacked[m + r:].reshape(s, n),

@@ -7,13 +7,14 @@ two runs produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import alm, optimality
 from .lower import kkt_residual, solve_lower
-from .numerics import fd_jacobian, min_eig_sym
+from .numerics import LpProblem, fd_jacobian, lp_maximize, min_eig_sym
 from .optimality import (
     check_first_order_fp,
     check_mfcq_fp,
@@ -34,6 +35,7 @@ from .problem import (
     load_problem,
     unflatten_multiplier,
 )
+from .sensitivity import implicit_jacobians
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,6 @@ def check_lower_solver() -> CheckResult:
 
 def check_sensitivity_fd() -> CheckResult:
     """Implicit Jacobians match finite differences of the re-solved lower level."""
-    from .sensitivity import implicit_jacobians
-
     worst = 0.0
     for prob, _, x, y, mu, xi in _fixture_points():
         sr = implicit_jacobians(prob, x, y, mu, xi)
@@ -347,16 +347,40 @@ def check_aug_lagrangian_fd() -> CheckResult:
     return CheckResult("aug-lagrangian-grad-vs-fd", worst <= 1e-5, f"max deviation {worst:.3e}")
 
 
-def check_eig_kernel() -> CheckResult:
-    """The Jacobi eigenvalue kernel agrees with the reference solver."""
+def _vertex_max(c, a, b, lo, hi) -> float:
+    """Best objective over the basic feasible points of a full-row-rank box LP."""
+    meq, n = a.shape
+    best = -np.inf
+    for basic in itertools.combinations(range(n), meq):
+        basic = list(basic)
+        free = [j for j in range(n) if j not in basic]
+        for at_upper in itertools.product((False, True), repeat=len(free)):
+            x = np.zeros(n)
+            x[free] = np.where(at_upper, hi[free], lo[free])
+            if meq:
+                x[basic] = np.linalg.solve(a[:, basic], b - a[:, free] @ x[free])
+            if np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9):
+                best = max(best, float(c @ x))
+    return best
+
+
+def check_lp_kernel() -> CheckResult:
+    """The bounded simplex matches vertex enumeration on small random LPs."""
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(50):
-        k = int(rng.integers(1, 7))
-        a = rng.normal(size=(k, k))
-        s = 0.5 * (a + a.T)
-        worst = max(worst, abs(min_eig_sym(s) - float(np.linalg.eigvalsh(s)[0])))
-    return CheckResult("jacobi-min-eigenvalue", worst <= 1e-9, f"max deviation {worst:.3e}")
+        n = int(rng.integers(1, 5))
+        meq = int(rng.integers(0, n))
+        a = rng.normal(size=(meq, n))
+        lo = -rng.uniform(0.5, 2.0, n)
+        hi = rng.uniform(0.5, 2.0, n)
+        b = a @ rng.uniform(lo, hi)
+        c = rng.normal(size=n)
+        val, x = lp_maximize(LpProblem(c, a, b, lo, hi))
+        violation = max(float(np.abs(a @ x - b).max(initial=0.0)),
+                        float(np.max(lo - x)), float(np.max(x - hi)))
+        worst = max(worst, abs(val - _vertex_max(c, a, b, lo, hi)), violation)
+    return CheckResult("simplex-vs-vertex-enumeration", worst <= 1e-9, f"max deviation {worst:.3e}")
 
 
 def check_second_order_cones() -> CheckResult:
@@ -401,7 +425,7 @@ ALL_CHECKS = (
     check_mfcq_fixtures,
     check_multiplier_cone_membership,
     check_aug_lagrangian_fd,
-    check_eig_kernel,
+    check_lp_kernel,
     check_second_order_cones,
 )
 

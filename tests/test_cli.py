@@ -140,6 +140,24 @@ def test_problem_file_accepted(tmp_path, capsys):
     assert "fd_consistent: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--x", "0", "--y", "-1"],
+    ["sens", "--x", "0"],
+    ["solve"],
+], ids=["check", "sens", "solve"])
+def test_domain_error_exit_code(tmp_path, capsys, argv):
+    src = tmp_path / "log.txt"
+    src.write_text(
+        "dims n=1 m=1\n"
+        "upper.objective (x1 - 1)^2 + y1^2\n"
+        "lower.objective (y1 - x1)^2 + log(y1)\n"
+    )
+    code = main(argv[:1] + ["--problem", str(src)] + argv[1:])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "log of non-positive value" in err
+
+
 def test_bad_vector_value(capsys):
     code = main(["check", "--fixture", "P1", "--x", "zero", "--y", "1"])
     assert code == 2

@@ -12,7 +12,6 @@ from bilevelkit.numerics import (
     fd_jacobian,
     lp_maximize,
     lu_factor,
-    lu_solve,
     min_eig_sym,
     nullspace_basis,
 )
@@ -23,7 +22,7 @@ def test_lu_solve_matches_numpy():
     for k in (1, 2, 5, 9):
         a = rng.normal(size=(k, k)) + k * np.eye(k)
         b = rng.normal(size=k)
-        assert np.allclose(lu_solve(a, b), np.linalg.solve(a, b), atol=1e-10)
+        assert np.allclose(lu_factor(a).solve(b), np.linalg.solve(a, b), atol=1e-10)
 
 
 def test_lu_solve_matrix_rhs():
@@ -35,10 +34,23 @@ def test_lu_solve_matrix_rhs():
     assert np.allclose(a @ x, b, atol=1e-10)
 
 
+def _ill_conditioned(cond):
+    q = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+    return q @ np.diag([1.0, 0.5, 0.1, 1.0 / cond]) @ q.T
+
+
 def test_lu_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(Singular):
-        lu_factor(a)
+    for a in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)), _ill_conditioned(1e14)):
+        with pytest.raises(Singular):
+            lu_factor(a)
+
+
+def test_lu_cond_estimate_is_2norm_condition_number():
+    rng = np.random.default_rng(4)
+    for k in (1, 3, 6):
+        a = rng.normal(size=(k, k)) + k * np.eye(k)
+        assert lu_factor(a).cond_estimate == pytest.approx(np.linalg.cond(a), rel=1e-10)
+    assert lu_factor(_ill_conditioned(1e9)).cond_estimate == pytest.approx(1e9, rel=1e-4)
 
 
 @settings(deadline=None, max_examples=60)
@@ -47,7 +59,7 @@ def test_lu_roundtrip_random(k, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(k, k)) + (k + 1) * np.eye(k)
     x_true = rng.normal(size=k)
-    x = lu_solve(a, a @ x_true)
+    x = lu_factor(a).solve(a @ x_true)
     assert np.allclose(x, x_true, atol=1e-8)
 
 
@@ -107,6 +119,26 @@ def test_lp_equality_binding():
     val, x = lp_maximize(p)
     assert val == pytest.approx(1.0, abs=1e-9)
     assert x[0] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_lp_matches_scipy_linprog():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        meq = int(rng.integers(0, n))
+        a = rng.normal(size=(meq, n))
+        lo = -rng.uniform(0.1, 3.0, n)
+        hi = rng.uniform(0.1, 3.0, n)
+        b = a @ rng.uniform(lo, hi)
+        c = rng.normal(size=n)
+        val, x = lp_maximize(LpProblem(c, a, b, lo, hi))
+        ref = linprog(-c, A_eq=a if meq else None, b_eq=b if meq else None,
+                      bounds=list(zip(lo, hi)), method="highs")
+        assert ref.status == 0
+        assert val == pytest.approx(-ref.fun, abs=1e-8)
+        assert np.allclose(a @ x, b, atol=1e-9)
+        assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
 
 
 def test_lp_infeasible():

@@ -16,9 +16,9 @@ from bilevelkit.sensitivity import (
 def test_build_w_masks():
     p1 = fixture("P1")
     act = active_sets(p1, np.array([0.0]), np.array([1.0]), np.array([1.0]))
-    assert np.array_equal(build_w(act), [[0.0]])
+    assert np.array_equal(build_w(act), [0.0])
     act = active_sets(p1, np.array([2.0]), np.array([2.0]), np.array([0.0]))
-    assert np.array_equal(build_w(act), [[1.0]])
+    assert np.array_equal(build_w(act), [1.0])
 
 
 def test_build_w_rejects_biactive():
