@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lower import point_eval
 from .optimality import (
     NondifferentiablePoint,
     check_first_order_fp,
@@ -126,15 +127,14 @@ def aug_lagrangian(problem: BilevelProblem, u: PrimalDualPoint, lam: UpperMultip
     c_eq = np.concatenate([cons.H, cons.gradL, cons.h, cons.comp])
     lam_eq = np.concatenate([lam.lam_H, lam.lam_L, lam.lam_h, lam.lam_g])
 
-    value = problem.F.value(u.x, u.y)
+    rec = point_eval(problem, u.x, u.y)
+    value = rec.value(problem.F)
     value += float(lam_eq @ c_eq) + 0.5 * rho * float(c_eq @ c_eq)
     shifted = np.maximum(lam.lam_G + rho * cons.G, 0.0)
     value += (float(shifted @ shifted) - float(lam.lam_G @ lam.lam_G)) / (2.0 * rho)
 
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    grad = np.concatenate(
-        [problem.F.grad_x(u.x, u.y), problem.F.grad_y(u.x, u.y), np.zeros(r + s)]
-    )
+    grad = np.concatenate([rec.grad_x(problem.F), rec.grad_y(problem.F), np.zeros(r + s)])
     grad = grad + eq_jac.T @ (lam_eq + rho * c_eq)
     if problem.q:
         grad = grad + g_jac.T @ shifted

@@ -30,11 +30,13 @@ from .grid import GridUnsupported, run_grid
 from .lower import Inconsistent, SingularJacobian, check_jacobian_uniqueness, solve_lower
 from .numerics import Infeasible, NonFinite, Singular, fd_jacobian
 from .optimality import (
+    SECOND_ORDER_MODES,
     NondifferentiablePoint,
     check_first_order_fp,
     check_mfcq_fp,
     check_second_order_fp,
     recover_multipliers,
+    second_order_holds,
 )
 from .problem import (
     DimensionMismatch,
@@ -318,16 +320,16 @@ def cmd_check(args, argv) -> int:
         evidence["sigma"] = fo.sigma
         evidence["stationarity_norm"] = fo.stationarity_norm
         evidence["feasibility_norm"] = fo.feasibility_norm
-        for mode in ("necessary", "sufficient"):
-            try:
-                so = check_second_order_fp(problem, u, lam, mode=mode)
-                verdicts[f"second_order_{mode}"] = so.holds
+        try:
+            so = check_second_order_fp(problem, u, lam)
+            for mode in SECOND_ORDER_MODES:
+                verdicts[f"second_order_{mode}"] = second_order_holds(so.min_eigenvalue, mode)
                 evidence[f"second_order_{mode}_min_eig"] = so.min_eigenvalue
-                if mode == "sufficient":
-                    evidence["cone_dimension"] = so.cone_dimension
-                    evidence["cone_over_approximation"] = so.over_approximation
-                    evidence["multiplier_unique"] = so.multiplier_unique
-            except _STAGE_ERRORS as exc:
+            evidence["cone_dimension"] = so.cone_dimension
+            evidence["cone_over_approximation"] = so.over_approximation
+            evidence["multiplier_unique"] = so.multiplier_unique
+        except _STAGE_ERRORS as exc:
+            for mode in SECOND_ORDER_MODES:
                 verdicts[f"second_order_{mode}"] = f"skipped: {type(exc).__name__}: {exc}"
     else:
         note = "skipped: no multipliers"

@@ -4,15 +4,25 @@ The lower problem at fixed x is min_y f(x,y) s.t. h(x,y)=0, g(x,y)<=0 with
 Lagrangian L = f + mu^T h + xi^T g.  The KKT system is written as the
 semismooth residual (grad_y L; h; g - min(g+xi, 0)), which vanishes exactly at
 KKT points with correct multiplier signs.
+
+Every KKT building block reads the problem functions at (x, y) from one
+evaluation record, `point_eval(problem, x, y)`.  The record computes each
+value, gradient, Hessian block and row-stacked Jacobian on first request and
+keeps it read-only, always evaluating a function's value before its
+derivatives.  The problem keeps its last record, reused while (x, y) match
+bit for bit.  Hessians are built only when a caller asks: the Lagrangian's
+gradient and Hessian are separate sums over the record, so the KKT residual
+and the Newton line search build none.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Singular, lu_factor, min_eig_sym, nullspace_basis
+from .numerics import Singular, full_row_rank, lu_factor, min_eig_sym, nullspace_basis
 from .problem import BilevelProblem
 
 DEFAULT_TAU_ACT = 1e-7
@@ -78,21 +88,109 @@ class JacobianUniquenessReport:
         return self.kkt_ok and self.licq_ok and self.strict_comp_ok and self.sosc_ok
 
 
-def _eval_stack(funcs, x, y) -> np.ndarray:
-    return np.array([fn.value(x, y) for fn in funcs])
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _grad_y_stack(funcs, x, y, m) -> np.ndarray:
-    """Row-stacked y-gradients, shape (len(funcs), m)."""
-    if not funcs:
-        return np.zeros((0, m))
-    return np.vstack([fn.grad_y(x, y) for fn in funcs])
+class PointEval:
+    """The problem's functions at one point (x, y), each item computed on first request.
+
+    Items are kept, and kept arrays are read-only.  `fn` must be one of the
+    problem's functions; stacks are named by role: "H", "G", "h" or "g".
+    """
+
+    __slots__ = ("problem", "x", "y", "key", "_kept")
+
+    def __init__(self, problem: BilevelProblem, x: np.ndarray, y: np.ndarray):
+        # weak: the problem keeps its last record, and a cycle between them would
+        # keep every dropped problem alive until a full garbage collection
+        self.problem = weakref.proxy(problem)
+        self.x = _frozen(np.array(x, dtype=float))
+        self.y = _frozen(np.array(y, dtype=float))
+        self.key = (self.x.tobytes(), self.y.tobytes())
+        self._kept = {}
+
+    def _item(self, fn, kind: str):
+        key = (id(fn), kind)
+        kept = self._kept.get(key)
+        if kept is None:
+            if kind == "value":
+                kept = fn.value(self.x, self.y)
+            else:
+                # value first, so the first DomainError at a point is the same for every item
+                self._item(fn, "value")
+                kept = _frozen(getattr(fn, kind)(self.x, self.y))
+            self._kept[key] = kept
+        return kept
+
+    def _stack(self, role: str, kind: str) -> np.ndarray:
+        key = (role, kind)
+        kept = self._kept.get(key)
+        if kept is None:
+            fns = getattr(self.problem, role)
+            if fns:
+                kept = np.array([self._item(fn, kind) for fn in fns], dtype=float)
+            else:
+                p = self.problem
+                kept = np.zeros({"value": (0,), "grad_x": (0, p.n), "grad_y": (0, p.m)}[kind])
+            kept = self._kept[key] = _frozen(kept)
+        return kept
+
+    def value(self, fn) -> float:
+        return self._item(fn, "value")
+
+    def grad_x(self, fn) -> np.ndarray:
+        return self._item(fn, "grad_x")
+
+    def grad_y(self, fn) -> np.ndarray:
+        return self._item(fn, "grad_y")
+
+    def hess_xx(self, fn) -> np.ndarray:
+        return self._item(fn, "hess_xx")
+
+    def hess_xy(self, fn) -> np.ndarray:
+        return self._item(fn, "hess_xy")
+
+    def hess_yy(self, fn) -> np.ndarray:
+        return self._item(fn, "hess_yy")
+
+    def values(self, role: str) -> np.ndarray:
+        return self._stack(role, "value")
+
+    def jac_x(self, role: str) -> np.ndarray:
+        """Row-stacked x-gradients, shape (len(role), n)."""
+        return self._stack(role, "grad_x")
+
+    def jac_y(self, role: str) -> np.ndarray:
+        """Row-stacked y-gradients, shape (len(role), m)."""
+        return self._stack(role, "grad_y")
+
+    def combination(self, kind: str, first, *terms):
+        """One item of first + sum over (coefs, fns) terms of coef * fn, summed in order."""
+        total = self._item(first, kind)
+        for coefs, fns in terms:
+            for coef, fn in zip(coefs, fns):
+                total = total + coef * self._item(fn, kind)
+        return total
+
+    def lagrangian(self, mu, xi, kind: str):
+        """One item of L = f + mu^T h + xi^T g."""
+        return self.combination(kind, self.problem.f, (mu, self.problem.h), (xi, self.problem.g))
 
 
-def _grad_x_stack(funcs, x, y, n) -> np.ndarray:
-    if not funcs:
-        return np.zeros((0, n))
-    return np.vstack([fn.grad_x(x, y) for fn in funcs])
+def point_eval(problem: BilevelProblem, x, y) -> PointEval:
+    """The problem's last record if it is at (x, y), else a new record that becomes the last.
+
+    Points match bit for bit, so -0.0 and 0.0 get different records.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rec = problem._last_eval
+    if rec is None or rec.key != (x.tobytes(), y.tobytes()):
+        rec = PointEval(problem, x, y)
+        object.__setattr__(problem, "_last_eval", rec)
+    return rec
 
 
 def lower_lagrangian(problem: BilevelProblem, x, y, mu, xi):
@@ -101,36 +199,17 @@ def lower_lagrangian(problem: BilevelProblem, x, y, mu, xi):
     Returns (value, grad_y, hess_yy, hess_yx) with hess_yx of shape (m, n),
     the x-derivative of grad_y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-
-    value = problem.f.value(x, y)
-    grad = problem.f.grad_y(x, y)
-    hess_yy = problem.f.hess_yy(x, y)
-    hess_yx = problem.f.hess_xy(x, y).T
-    for coef, fn in zip(mu, problem.h):
-        value += coef * fn.value(x, y)
-        grad = grad + coef * fn.grad_y(x, y)
-        hess_yy = hess_yy + coef * fn.hess_yy(x, y)
-        hess_yx = hess_yx + coef * fn.hess_xy(x, y).T
-    for coef, fn in zip(xi, problem.g):
-        value += coef * fn.value(x, y)
-        grad = grad + coef * fn.grad_y(x, y)
-        hess_yy = hess_yy + coef * fn.hess_yy(x, y)
-        hess_yx = hess_yx + coef * fn.hess_xy(x, y).T
-    return float(value), grad, hess_yy, hess_yx
+    rec = point_eval(problem, x, y)
+    return (float(rec.lagrangian(mu, xi, "value")), rec.lagrangian(mu, xi, "grad_y"),
+            rec.lagrangian(mu, xi, "hess_yy"), rec.lagrangian(mu, xi, "hess_xy").T)
 
 
 def kkt_residual(problem: BilevelProblem, x, y, mu, xi) -> np.ndarray:
     """Stacked residual (grad_y L; h; g - min(g+xi, 0)), zero iff KKT holds."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    _, grad, _, _ = lower_lagrangian(problem, x, y, mu, xi)
-    h_vals = _eval_stack(problem.h, x, y)
-    g_vals = _eval_stack(problem.g, x, y)
+    rec = point_eval(problem, x, y)
+    grad = rec.lagrangian(mu, xi, "grad_y")
+    h_vals = rec.values("h")
+    g_vals = rec.values("g")
     comp = g_vals - np.minimum(g_vals + xi, 0.0)
     return np.concatenate([grad, h_vals, comp])
 
@@ -162,10 +241,7 @@ def active_sets(problem: BilevelProblem, x, y, xi, tau_act: float = DEFAULT_TAU_
     """
     if tau_act <= 0:
         raise ValueError("tau_act must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    g_vals = _eval_stack(problem.g, x, y)
+    g_vals = point_eval(problem, x, y).values("g")
     alpha, beta, gamma, bad = _classify(g_vals, xi, tau_act)
     if bad:
         raise Inconsistent(
@@ -186,27 +262,15 @@ def check_jacobian_uniqueness(
     for the gradient stack; the KKT verdict reports the violation anyway.
     """
     tols = tols or CheckTolerances()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-
     res = kkt_residual(problem, x, y, mu, xi)
     kkt_norm = float(np.linalg.norm(res, np.inf)) if res.size else 0.0
     kkt_ok = kkt_norm <= tols.kkt
 
-    g_vals = _eval_stack(problem.g, x, y)
+    rec = point_eval(problem, x, y)
+    g_vals = rec.values("g")
     alpha, beta, _, _ = _classify(g_vals, xi, tols.tau_act)
-    active = [problem.g[i] for i in sorted(alpha + beta)]
-
-    stacked = _grad_y_stack(list(problem.h) + active, x, y, problem.m)
-    if stacked.shape[0]:
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        min_sv = float(sv[-1])
-        licq_ok = min_sv > tols.licq_rel * (1.0 + float(sv[0]))
-    else:
-        licq_ok = True
-        min_sv = float("inf")
+    stacked = np.vstack([rec.jac_y("h"), rec.jac_y("g")[sorted(alpha + beta)]])
+    licq_ok, min_sv = full_row_rank(stacked, tols.licq_rel)
 
     if problem.s:
         margin = float(np.min(xi - g_vals))
@@ -214,7 +278,6 @@ def check_jacobian_uniqueness(
         margin = float("inf")
     strict_ok = (len(beta) == 0) and margin > 0.0
 
-    _, _, hess_yy, _ = lower_lagrangian(problem, x, y, mu, xi)
     if beta:
         sosc_ok = False
         min_eig = float("nan")
@@ -224,7 +287,7 @@ def check_jacobian_uniqueness(
             sosc_ok = True
             min_eig = float("inf")
         else:
-            reduced = z.T @ hess_yy @ z
+            reduced = z.T @ rec.lagrangian(mu, xi, "hess_yy") @ z
             reduced = 0.5 * (reduced + reduced.T)
             min_eig = float(min_eig_sym(reduced))
             sosc_ok = min_eig > tols.sosc
@@ -252,18 +315,16 @@ def newton_weights(problem: BilevelProblem, x, y, xi) -> np.ndarray:
     At feasible points with strict complementarity this agrees with the 0/1
     weights built from the active sets.
     """
-    g_vals = _eval_stack(problem.g, np.asarray(x, float), np.asarray(y, float))
-    return _branch_weights(g_vals, np.asarray(xi, float))
+    return _branch_weights(point_eval(problem, x, y).values("g"), xi)
 
 
-def _assemble_k(problem: BilevelProblem, x, y, mu, xi, w: np.ndarray) -> np.ndarray:
+def _assemble_k(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:
     """The (m+r+s)-square block matrix with complementarity rows masked by w."""
-    m, r, s = problem.m, problem.r, problem.s
-    _, _, hess_yy, _ = lower_lagrangian(problem, x, y, mu, xi)
-    jh = _grad_y_stack(problem.h, x, y, m)
-    jg = _grad_y_stack(problem.g, x, y, m)
+    m, r, s = rec.problem.m, rec.problem.r, rec.problem.s
+    jh = rec.jac_y("h")
+    jg = rec.jac_y("g")
     k = np.zeros((m + r + s, m + r + s))
-    k[:m, :m] = hess_yy
+    k[:m, :m] = rec.lagrangian(mu, xi, "hess_yy")
     k[:m, m:m + r] = jh.T
     k[:m, m + r:] = jg.T
     k[m:m + r, :m] = jh
@@ -304,7 +365,7 @@ def solve_lower(
             return y, mu, xi, True
 
         w = newton_weights(problem, x, y, xi)
-        k = _assemble_k(problem, x, y, mu, xi, w)
+        k = _assemble_k(point_eval(problem, x, y), mu, xi, w)
         try:
             step = lu_factor(k).solve(-res)
         except Singular as exc:

@@ -100,6 +100,14 @@ def nullspace_basis(a, tol: float | None = None) -> Matrix:
     return vt[rank:].T.copy()
 
 
+def full_row_rank(a: Matrix, rel: float):
+    """(smin > rel * (1 + smax), smin) over the singular values of A; (True, inf) without rows."""
+    if not a.shape[0]:
+        return True, float("inf")
+    sv = np.linalg.svd(a, compute_uv=False)
+    return float(sv[-1]) > rel * (1.0 + float(sv[0])), float(sv[-1])
+
+
 def min_eig_sym(s, sym_tol: float = 1e-10) -> float:
     """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric eigensolver).
 

@@ -13,6 +13,7 @@ map for cross-validation against finite differences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,19 @@ import numpy as np
 from . import expr as ex
 from .lower import (
     DEFAULT_TAU_ACT,
+    PointEval,
     _assemble_k,
     _branch_weights,
-    _eval_stack,
-    _grad_x_stack,
-    _grad_y_stack,
     active_sets,
-    lower_lagrangian,
     newton_weights,
+    point_eval,
     solve_lower,
 )
 from .numerics import (
     LpProblem,
     Singular,
     fd_hessian,
+    full_row_rank,
     lp_maximize,
     lu_factor,
     min_eig_sym,
@@ -41,6 +41,9 @@ from .numerics import (
 )
 from .problem import BilevelProblem, PrimalDualPoint, UpperMultiplier
 from .sensitivity import SingularK, build_w, implicit_jacobians
+
+
+SECOND_ORDER_MODES = ("necessary", "sufficient")
 
 
 class NondifferentiablePoint(ArithmeticError):
@@ -124,31 +127,31 @@ class SecondOrderReport:
     multiplier_unique: bool
 
 
-def _kink_weights(problem: BilevelProblem, x, y, xi, kink_tol):
+def _kink_weights(rec: PointEval, xi, kink_tol) -> np.ndarray:
     """Projection branch weights w (0 active, 1 inactive) with optional kink guard.
 
     kink_tol None disables the guard entirely; 0.0 flags only an exact hit.
     """
-    g_vals = _eval_stack(problem.g, x, y)
-    if kink_tol is not None and problem.s:
+    g_vals = rec.values("g")
+    if kink_tol is not None and rec.problem.s:
         offenders = np.flatnonzero(np.abs(g_vals + xi) <= kink_tol)
         if offenders.size:
             raise NondifferentiablePoint(offenders.tolist())
-    return _branch_weights(g_vals, xi), g_vals
+    return _branch_weights(g_vals, xi)
 
 
 def fp_constraints(problem: BilevelProblem, u: PrimalDualPoint) -> FpConstraintValue:
     """Evaluate all five constraint blocks of the reformulated problem."""
-    x, y, mu, xi = u.x, u.y, u.mu, u.xi
-    _, grad_l, _, _ = lower_lagrangian(problem, x, y, mu, xi)
-    h_vals = _eval_stack(problem.h, x, y)
-    g_vals = _eval_stack(problem.g, x, y)
+    rec = point_eval(problem, u.x, u.y)
+    grad_l = rec.lagrangian(u.mu, u.xi, "grad_y")
+    h_vals = rec.values("h")
+    g_vals = rec.values("g")
     return FpConstraintValue(
-        H=_eval_stack(problem.H, x, y),
-        G=_eval_stack(problem.G, x, y),
+        H=rec.values("H"),
+        G=rec.values("G"),
         gradL=grad_l,
         h=h_vals,
-        comp=g_vals - np.minimum(g_vals + xi, 0.0),
+        comp=g_vals - np.minimum(g_vals + u.xi, 0.0),
     )
 
 
@@ -165,40 +168,34 @@ def fp_lagrangian_grad(
     branch weights at the current point, so points with g_i + xi_i within
     kink_tol of the kink raise NondifferentiablePoint (pass None to disable).
     """
-    x, y, mu, xi = u.x, u.y, u.mu, u.xi
-    n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    w, g_vals = _kink_weights(problem, x, y, xi, kink_tol)
+    mu, xi = u.mu, u.xi
+    rec = point_eval(problem, u.x, u.y)
+    w = _kink_weights(rec, xi, kink_tol)
 
-    _, grad_l, hess_yy, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    h_vals = _eval_stack(problem.h, x, y)
+    grad_l = rec.lagrangian(mu, xi, "grad_y")
+    hess_yy = rec.lagrangian(mu, xi, "hess_yy")
+    hess_xy = rec.lagrangian(mu, xi, "hess_xy")
+    h_vals = rec.values("h")
+    g_vals = rec.values("g")
     comp = g_vals - np.minimum(g_vals + xi, 0.0)
 
-    value = problem.F.value(x, y)
-    grad_x = problem.F.grad_x(x, y)
-    grad_y = problem.F.grad_y(x, y)
-    for coef, fn in zip(lam.lam_H, problem.H):
-        value += coef * fn.value(x, y)
-        grad_x = grad_x + coef * fn.grad_x(x, y)
-        grad_y = grad_y + coef * fn.grad_y(x, y)
-    for coef, fn in zip(lam.lam_G, problem.G):
-        value += coef * fn.value(x, y)
-        grad_x = grad_x + coef * fn.grad_x(x, y)
-        grad_y = grad_y + coef * fn.grad_y(x, y)
+    upper = (problem.F, (lam.lam_H, problem.H), (lam.lam_G, problem.G))
+    value = rec.combination("value", *upper)
+    grad_x = rec.combination("grad_x", *upper)
+    grad_y = rec.combination("grad_y", *upper)
     value += float(lam.lam_L @ grad_l) + float(lam.lam_h @ h_vals) + float(lam.lam_g @ comp)
 
-    grad_x = grad_x + hess_yx.T @ lam.lam_L
+    grad_x = grad_x + hess_xy @ lam.lam_L
     grad_y = grad_y + hess_yy @ lam.lam_L
     for coef, fn in zip(lam.lam_h, problem.h):
-        grad_x = grad_x + coef * fn.grad_x(x, y)
-        grad_y = grad_y + coef * fn.grad_y(x, y)
+        grad_x = grad_x + coef * rec.grad_x(fn)
+        grad_y = grad_y + coef * rec.grad_y(fn)
     for coef, wi, fn in zip(lam.lam_g, w, problem.g):
-        grad_x = grad_x + coef * (1.0 - wi) * fn.grad_x(x, y)
-        grad_y = grad_y + coef * (1.0 - wi) * fn.grad_y(x, y)
+        grad_x = grad_x + coef * (1.0 - wi) * rec.grad_x(fn)
+        grad_y = grad_y + coef * (1.0 - wi) * rec.grad_y(fn)
 
-    jyh = _grad_y_stack(problem.h, x, y, m)
-    jyg = _grad_y_stack(problem.g, x, y, m)
-    grad_mu = jyh @ lam.lam_L if r else np.zeros(0)
-    grad_xi = (jyg @ lam.lam_L - w * lam.lam_g) if s else np.zeros(0)
+    grad_mu = rec.jac_y("h") @ lam.lam_L if problem.r else np.zeros(0)
+    grad_xi = (rec.jac_y("g") @ lam.lam_L - w * lam.lam_g) if problem.s else np.zeros(0)
 
     return float(value), np.concatenate([grad_x, grad_y, grad_mu, grad_xi])
 
@@ -210,19 +207,14 @@ def recover_multipliers(problem: BilevelProblem, u: PrimalDualPoint, lam_H=None,
     gradient blocks of the reformulated Lagrangian identically.  Raises
     SingularK when the system matrix cannot be factored.
     """
-    x, y, mu, xi = u.x, u.y, u.mu, u.xi
     m, r, s = problem.m, problem.r, problem.s
-    lam_H = np.zeros(problem.p) if lam_H is None else np.asarray(lam_H, dtype=float)
-    lam_G = np.zeros(problem.q) if lam_G is None else np.asarray(lam_G, dtype=float)
+    lam_H = np.zeros(problem.p) if lam_H is None else lam_H
+    lam_G = np.zeros(problem.q) if lam_G is None else lam_G
+    rec = point_eval(problem, u.x, u.y)
 
-    grad_y_upper = problem.F.grad_y(x, y)
-    for coef, fn in zip(lam_H, problem.H):
-        grad_y_upper = grad_y_upper + coef * fn.grad_y(x, y)
-    for coef, fn in zip(lam_G, problem.G):
-        grad_y_upper = grad_y_upper + coef * fn.grad_y(x, y)
-
-    w = newton_weights(problem, x, y, xi)
-    k = _assemble_k(problem, x, y, mu, xi, w)
+    grad_y_upper = rec.combination("grad_y", problem.F, (lam_H, problem.H), (lam_G, problem.G))
+    w = newton_weights(problem, u.x, u.y, u.xi)
+    k = _assemble_k(rec, u.mu, u.xi, w)
     rhs = np.concatenate([grad_y_upper, np.zeros(r + s)])
     try:
         sol = lu_factor(k.T).solve(-rhs)
@@ -231,14 +223,13 @@ def recover_multipliers(problem: BilevelProblem, u: PrimalDualPoint, lam_H=None,
     return sol[:m], sol[m:m + r], sol[m + r:]
 
 
-def _xy_hessian(fn, x, y, n, m) -> np.ndarray:
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = fn.hess_xx(x, y)
-    cross = fn.hess_xy(x, y)
-    out[:n, n:] = cross
-    out[n:, :n] = cross.T
-    out[n:, n:] = fn.hess_yy(x, y)
-    return out
+def _xy_hessian(source, *args) -> np.ndarray:
+    """Full (x, y) Hessian from the blocks source.hess_xx/hess_xy/hess_yy(*args).
+
+    source is a PointEval (args: the function) or a CompiledFunction (args: x, y).
+    """
+    hess_xx, hess_xy, hess_yy = source.hess_xx(*args), source.hess_xy(*args), source.hess_yy(*args)
+    return np.block([[hess_xx, hess_xy], [hess_xy.T, hess_yy]])
 
 
 def fp_hessian(
@@ -255,26 +246,23 @@ def fp_hessian(
     where third derivatives of f, g, h enter exactly.  The (mu, xi) diagonal
     block is identically zero.
     """
-    x, y, mu, xi = u.x, u.y, u.mu, u.xi
+    mu, xi = u.mu, u.xi
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    w, _ = _kink_weights(problem, x, y, xi, kink_tol)
+    rec = point_eval(problem, u.x, u.y)
+    w = _kink_weights(rec, xi, kink_tol)
     nv = n + m
     dim = nv + r + s
     gamma = np.zeros((dim, dim))
 
-    top = _xy_hessian(problem.F, x, y, n, m)
-    for coef, fn in zip(lam.lam_H, problem.H):
+    top = _xy_hessian(rec, problem.F)
+    for coef, fn in itertools.chain(
+        zip(lam.lam_H, problem.H), zip(lam.lam_G, problem.G), zip(lam.lam_h, problem.h)
+    ):
         if coef:
-            top += coef * _xy_hessian(fn, x, y, n, m)
-    for coef, fn in zip(lam.lam_G, problem.G):
-        if coef:
-            top += coef * _xy_hessian(fn, x, y, n, m)
-    for coef, fn in zip(lam.lam_h, problem.h):
-        if coef:
-            top += coef * _xy_hessian(fn, x, y, n, m)
+            top += coef * _xy_hessian(rec, fn)
     for coef, wi, fn in zip(lam.lam_g, w, problem.g):
         if coef and wi != 1.0:
-            top += coef * (1.0 - wi) * _xy_hessian(fn, x, y, n, m)
+            top += coef * (1.0 - wi) * _xy_hessian(rec, fn)
 
     # scalar phi = lam_L . grad_y lowL, built symbolically so its (x, y)
     # Hessian carries the exact third-derivative contractions
@@ -287,37 +275,33 @@ def fp_hessian(
             term = ex.add(term, ex.mul(ex.Const(float(coef)), fn.y_partials[j]))
         phi = ex.add(phi, ex.mul(ex.Const(float(lam.lam_L[j])), term))
     phi_fn = ex.compile_expr(phi, n, m)
-    top += _xy_hessian(phi_fn, x, y, n, m)
+    top += _xy_hessian(phi_fn, rec.x, rec.y)
 
     gamma[:nv, :nv] = top
 
-    for k, fn in enumerate(problem.h):
-        col = np.concatenate([fn.hess_xy(x, y) @ lam.lam_L, fn.hess_yy(x, y) @ lam.lam_L])
+    # (x, y) x (mu, xi) block: column nv + k is the derivative of lam_L.grad_y(lowL)
+    # in the k-th lower multiplier, ordered h then g
+    for k, fn in enumerate(problem.h + problem.g):
+        col = np.concatenate([rec.hess_xy(fn) @ lam.lam_L, rec.hess_yy(fn) @ lam.lam_L])
         gamma[:nv, nv + k] = col
         gamma[nv + k, :nv] = col
-    for i, fn in enumerate(problem.g):
-        col = np.concatenate([fn.hess_xy(x, y) @ lam.lam_L, fn.hess_yy(x, y) @ lam.lam_L])
-        gamma[:nv, nv + r + i] = col
-        gamma[nv + r + i, :nv] = col
 
     return gamma
 
 
-def _equality_jacobian(problem: BilevelProblem, u: PrimalDualPoint, w: np.ndarray) -> np.ndarray:
+def _equality_jacobian(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:
     """Rows [J H; J grad_y(lowL); J h; masked complementarity] over u-space."""
-    x, y, mu, xi = u.x, u.y, u.mu, u.xi
+    problem = rec.problem
     n, m, p, r, s = problem.n, problem.m, problem.p, problem.r, problem.s
-
-    _, _, hess_yy, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    jxh = _grad_x_stack(problem.h, x, y, n)
-    jyh = _grad_y_stack(problem.h, x, y, m)
-    jxg = _grad_x_stack(problem.g, x, y, n)
-    jyg = _grad_y_stack(problem.g, x, y, m)
+    hess_yy = rec.lagrangian(mu, xi, "hess_yy")
+    hess_xy = rec.lagrangian(mu, xi, "hess_xy")
+    jxh, jyh = rec.jac_x("h"), rec.jac_y("h")
+    jxg, jyg = rec.jac_x("g"), rec.jac_y("g")
 
     a = np.zeros((p + m + r + s, n + m + r + s))
-    a[:p, :n] = _grad_x_stack(problem.H, x, y, n)
-    a[:p, n:n + m] = _grad_y_stack(problem.H, x, y, m)
-    a[p:p + m, :n] = hess_yx
+    a[:p, :n] = rec.jac_x("H")
+    a[:p, n:n + m] = rec.jac_y("H")
+    a[p:p + m, :n] = hess_xy.T
     a[p:p + m, n:n + m] = hess_yy
     a[p:p + m, n + m:n + m + r] = jyh.T
     a[p:p + m, n + m + r:] = jyg.T
@@ -338,14 +322,9 @@ def fp_constraint_jacobian(
     infeasible points too; an exact kink raises NondifferentiablePoint when
     kink_tol is not None.
     """
-    w, _ = _kink_weights(problem, u.x, u.y, u.xi, kink_tol)
-    eq_jac = _equality_jacobian(problem, u, w)
-    n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    if problem.q:
-        g_jac = np.vstack([_grad_u_upper(fn, u.x, u.y, n, m, r, s) for fn in problem.G])
-    else:
-        g_jac = np.zeros((0, n + m + r + s))
-    return eq_jac, g_jac
+    rec = point_eval(problem, u.x, u.y)
+    eq_jac = _equality_jacobian(rec, u.mu, u.xi, _kink_weights(rec, u.xi, kink_tol))
+    return eq_jac, _upper_rows(rec, problem.G)
 
 
 def matrix_a(problem: BilevelProblem, u: PrimalDualPoint, tau_act: float = DEFAULT_TAU_ACT) -> np.ndarray:
@@ -356,12 +335,18 @@ def matrix_a(problem: BilevelProblem, u: PrimalDualPoint, tau_act: float = DEFAU
     complementarity rows.  Shape (p+m+r+s) x (n+m+r+s).  Weights come from
     the active sets, so strict complementarity is required.
     """
-    return _equality_jacobian(problem, u, build_w(active_sets(problem, u.x, u.y, u.xi, tau_act)))
+    w = build_w(active_sets(problem, u.x, u.y, u.xi, tau_act))
+    return _equality_jacobian(point_eval(problem, u.x, u.y), u.mu, u.xi, w)
 
 
-def _grad_u_upper(fn, x, y, n, m, r, s) -> np.ndarray:
-    """u-space gradient row of an upper-level function (no mu/xi dependence)."""
-    return np.concatenate([fn.grad_x(x, y), fn.grad_y(x, y), np.zeros(r + s)])
+def _upper_rows(rec: PointEval, fns) -> np.ndarray:
+    """u-space gradient rows of upper-level functions; their (mu, xi) columns are zero."""
+    n, m = rec.problem.n, rec.problem.m
+    rows = np.zeros((len(fns), n + m + rec.problem.r + rec.problem.s))
+    for row, fn in zip(rows, fns):
+        row[:n] = rec.grad_x(fn)
+        row[n:n + m] = rec.grad_y(fn)
+    return rows
 
 
 def check_mfcq_fp(
@@ -378,21 +363,13 @@ def check_mfcq_fp(
     iff the rank test passes and the optimum exceeds t_tol (vacuously when no
     upper inequality is active).
     """
-    x, y = u.x, u.y
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
     a = matrix_a(problem, u, tau_act)
     rows = a.shape[0]
-    if rows:
-        sv = np.linalg.svd(a, compute_uv=False)
-        min_sv = float(sv[-1])
-        rank_ok = min_sv > rank_rel * (1.0 + float(sv[0]))
-    else:
-        min_sv = float("inf")
-        rank_ok = True
+    rank_ok, min_sv = full_row_rank(a, rank_rel)
 
-    g_upper = _eval_stack(problem.G, x, y)
-    active = tuple(int(i) for i in np.flatnonzero(g_upper >= -tau_act))
-
+    rec = point_eval(problem, u.x, u.y)
+    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -tau_act))
     nu = n + m + r + s
     if not active:
         return MfcqReport(
@@ -405,7 +382,7 @@ def check_mfcq_fp(
             active_upper=active,
         )
 
-    grads = [_grad_u_upper(problem.G[i], x, y, n, m, r, s) for i in active]
+    grads = _upper_rows(rec, [problem.G[i] for i in active])
     na = len(active)
     # variables: d (nu), t, slack per active inequality
     total = nu + 1 + na
@@ -413,10 +390,9 @@ def check_mfcq_fp(
     c[nu] = 1.0
     eq = np.zeros((rows + na, total))
     eq[:rows, :nu] = a
-    for idx, grow in enumerate(grads):
-        eq[rows + idx, :nu] = grow
-        eq[rows + idx, nu] = 1.0
-        eq[rows + idx, nu + 1 + idx] = 1.0
+    eq[rows:, :nu] = grads
+    eq[rows:, nu] = 1.0
+    eq[rows:, nu + 1:] = np.eye(na)
     rhs = np.zeros(rows + na)
     slack_cap = max(float(np.abs(g).sum()) for g in grads) + 1.0
     lo = np.concatenate([-np.ones(nu), [0.0], np.zeros(na)])
@@ -454,40 +430,17 @@ def critical_cone_fp(
     (the objective row is then implied); otherwise the sign constraints are
     dropped and the basis spans an over-approximating subspace, flagged.
     """
-    x, y = u.x, u.y
-    n, m, r, s = problem.n, problem.m, problem.r, problem.s
     a = matrix_a(problem, u, tau_act)
+    rec = point_eval(problem, u.x, u.y)
+    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -tau_act))
+    active_rows = _upper_rows(rec, [problem.G[i] for i in active])
+    objective_row = _upper_rows(rec, [problem.F])[0]
 
-    g_upper = _eval_stack(problem.G, x, y)
-    active = tuple(int(i) for i in np.flatnonzero(g_upper >= -tau_act))
-    nu = n + m + r + s
-    if active:
-        active_rows = np.vstack([_grad_u_upper(problem.G[i], x, y, n, m, r, s) for i in active])
-    else:
-        active_rows = np.zeros((0, nu))
+    keep = [k for k, i in enumerate(active) if float(lam.lam_G[i]) > tau_act]
+    over_approx = len(keep) < len(active)
+    basis = nullspace_basis(np.vstack([a, active_rows[keep]]) if keep else a)
 
-    objective_row = _grad_u_upper(problem.F, x, y, n, m, r, s)
-
-    strict_upper = all(float(lam.lam_G[i]) > tau_act for i in active)
-    if strict_upper:
-        eq_stack = np.vstack([a, active_rows]) if active else a
-        over_approx = False
-    else:
-        keep = [i for i in active if float(lam.lam_G[i]) > tau_act]
-        if keep:
-            kept_rows = np.vstack([_grad_u_upper(problem.G[i], x, y, n, m, r, s) for i in keep])
-            eq_stack = np.vstack([a, kept_rows])
-        else:
-            eq_stack = a
-        over_approx = True
-    basis = nullspace_basis(eq_stack)
-
-    licq_stack = np.vstack([a, active_rows]) if active else a
-    if licq_stack.shape[0]:
-        sv = np.linalg.svd(licq_stack, compute_uv=False)
-        unique = float(sv[-1]) > rank_rel * (1.0 + float(sv[0]))
-    else:
-        unique = True
+    unique, _ = full_row_rank(np.vstack([a, active_rows]) if active else a, rank_rel)
 
     return ConeRep(
         eq_matrix=a,
@@ -537,38 +490,35 @@ def check_second_order_fp(
 ) -> SecondOrderReport:
     """Minimum eigenvalue of the reformulated Hessian over the cone basis.
 
-    necessary: min eig >= -tau_psd; sufficient: min eig >= +tau_psd.  An
-    empty cone passes vacuously (evidence +inf).  Under an over-approximated
-    cone the sufficient verdict stays valid; the necessary one is indicative.
+    The verdict is second_order_holds(min eig, mode, tau_psd).  An empty cone
+    passes vacuously (evidence +inf).  Under an over-approximated cone the
+    sufficient verdict stays valid; the necessary one is indicative.  Both
+    modes share the eigenvalue, so a caller wanting both verdicts calls this
+    once and applies second_order_holds for the other mode.
     """
-    if mode not in ("necessary", "sufficient"):
+    if mode not in SECOND_ORDER_MODES:
         raise ValueError(f"mode must be necessary or sufficient, got {mode!r}")
     cone = critical_cone_fp(problem, u, lam, tau_act=tau_act)
     z = cone.subspace_basis
     if z.shape[1] == 0:
-        return SecondOrderReport(
-            mode=mode,
-            holds=True,
-            min_eigenvalue=float("inf"),
-            cone_dimension=0,
-            cone_empty=True,
-            over_approximation=cone.over_approximation,
-            multiplier_unique=cone.multiplier_unique,
-        )
-    gamma = fp_hessian(problem, u, lam)
-    reduced = z.T @ gamma @ z
-    reduced = 0.5 * (reduced + reduced.T)
-    min_eig = float(min_eig_sym(reduced))
-    holds = min_eig >= (-tau_psd if mode == "necessary" else tau_psd)
+        min_eig = float("inf")
+    else:
+        reduced = z.T @ fp_hessian(problem, u, lam) @ z
+        min_eig = float(min_eig_sym(0.5 * (reduced + reduced.T)))
     return SecondOrderReport(
         mode=mode,
-        holds=holds,
+        holds=second_order_holds(min_eig, mode, tau_psd),
         min_eigenvalue=min_eig,
         cone_dimension=int(z.shape[1]),
-        cone_empty=False,
+        cone_empty=z.shape[1] == 0,
         over_approximation=cone.over_approximation,
         multiplier_unique=cone.multiplier_unique,
     )
+
+
+def second_order_holds(min_eig: float, mode: str, tau_psd: float = 1e-7) -> bool:
+    """necessary: min eig >= -tau_psd; sufficient: min eig >= +tau_psd."""
+    return min_eig >= (-tau_psd if mode == "necessary" else tau_psd)
 
 
 def sp_hessian_fd(
@@ -589,9 +539,8 @@ def sp_hessian_fd(
     the implicit Jacobian), so only one differencing level is needed.  Stencil
     solves start from the supplied warm start; solver failures propagate.
     """
-    x = np.asarray(x, dtype=float)
-    lam_H = np.zeros(problem.p) if lam_H is None else np.asarray(lam_H, dtype=float)
-    lam_G = np.zeros(problem.q) if lam_G is None else np.asarray(lam_G, dtype=float)
+    lam_H = np.zeros(problem.p) if lam_H is None else lam_H
+    lam_G = np.zeros(problem.q) if lam_G is None else lam_G
 
     def reduced_grad(xv: np.ndarray) -> np.ndarray:
         y, mu, xi, converged = solve_lower(
@@ -600,14 +549,8 @@ def sp_hessian_fd(
         if not converged:
             raise RuntimeError(f"lower-level solve did not converge at x={xv.tolist()}")
         sr = implicit_jacobians(problem, xv, y, mu, xi)
-        gx = problem.F.grad_x(xv, y)
-        gy = problem.F.grad_y(xv, y)
-        for coef, fn in zip(lam_H, problem.H):
-            gx = gx + coef * fn.grad_x(xv, y)
-            gy = gy + coef * fn.grad_y(xv, y)
-        for coef, fn in zip(lam_G, problem.G):
-            gx = gx + coef * fn.grad_x(xv, y)
-            gy = gy + coef * fn.grad_y(xv, y)
-        return gx + sr.Jy.T @ gy
+        rec = point_eval(problem, xv, y)
+        upper = (problem.F, (lam_H, problem.H), (lam_G, problem.G))
+        return rec.combination("grad_x", *upper) + sr.Jy.T @ rec.combination("grad_y", *upper)
 
-    return fd_hessian(reduced_grad, x, h=h_step)
+    return fd_hessian(reduced_grad, np.asarray(x, dtype=float), h=h_step)

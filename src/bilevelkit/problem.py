@@ -16,7 +16,7 @@ every index set downstream refers to these positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class BilevelProblem:
     f: CompiledFunction
     h: tuple
     g: tuple
+    # the lower.PointEval of the last evaluated point
+    _last_eval: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:

@@ -16,10 +16,9 @@ from .lower import (
     DEFAULT_TAU_ACT,
     ActiveSets,
     _assemble_k,
-    _grad_x_stack,
     active_sets,
     kkt_residual,
-    lower_lagrangian,
+    point_eval,
 )
 from .numerics import Singular, lu_factor
 from .problem import BilevelProblem
@@ -65,13 +64,6 @@ def build_w(active: ActiveSets) -> np.ndarray:
     return w
 
 
-def build_k(problem: BilevelProblem, x, y, mu, xi, active: ActiveSets) -> np.ndarray:
-    """Assemble the (m+r+s)-square KKT-system Jacobian for the given active sets."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _assemble_k(problem, x, y, np.asarray(mu, float), np.asarray(xi, float), build_w(active))
-
-
 def implicit_jacobians(
     problem: BilevelProblem,
     x,
@@ -86,23 +78,16 @@ def implicit_jacobians(
     Raises NotKkt if the residual exceeds kkt_tol, StrictComplementarityViolated
     on biactive indices, and SingularK if the factorization fails.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    xi = np.asarray(xi, dtype=float)
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
-
     res = kkt_residual(problem, x, y, mu, xi)
     if res.size and np.linalg.norm(res, np.inf) > kkt_tol:
         raise NotKkt(f"KKT residual {np.linalg.norm(res, np.inf):.3e} exceeds {kkt_tol}")
 
     w = build_w(active_sets(problem, x, y, xi, tau_act))
-    k = _assemble_k(problem, x, y, mu, xi, w)
-
-    _, _, _, hess_yx = lower_lagrangian(problem, x, y, mu, xi)
-    jxh = _grad_x_stack(problem.h, x, y, n)
-    jxg = _grad_x_stack(problem.g, x, y, n)
-    rhs = np.vstack([hess_yx, jxh, (1.0 - w)[:, None] * jxg])
+    rec = point_eval(problem, x, y)
+    k = _assemble_k(rec, mu, xi, w)
+    rhs = np.vstack([rec.lagrangian(mu, xi, "hess_xy").T, rec.jac_x("h"),
+                     (1.0 - w)[:, None] * rec.jac_x("g")])
 
     try:
         fac = lu_factor(k)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import alm, optimality
 from .lower import kkt_residual, solve_lower
-from .numerics import LpProblem, fd_jacobian, lp_maximize, min_eig_sym
+from .numerics import LpProblem, fd_hessian, fd_jacobian, lp_maximize, min_eig_sym
 from .optimality import (
     check_first_order_fp,
     check_mfcq_fp,
@@ -31,8 +31,10 @@ from .problem import (
     PrimalDualPoint,
     UpperMultiplier,
     fixture,
+    flatten,
     format_problem,
     load_problem,
+    unflatten,
     unflatten_multiplier,
 )
 from .sensitivity import implicit_jacobians
@@ -225,9 +227,6 @@ def check_gamma22_zero() -> CheckResult:
 
 def check_fp_hessian_fd() -> CheckResult:
     """Exact reformulated Hessian agrees with FD of the exact gradient."""
-    from .numerics import fd_hessian
-    from .problem import flatten, unflatten
-
     worst = 0.0
     for prob, _, x, y, mu, xi in _fixture_points():
         u = _point(x, y, mu, xi)
@@ -319,8 +318,6 @@ def check_multiplier_cone_membership() -> CheckResult:
 
 def check_aug_lagrangian_fd() -> CheckResult:
     """Penalized-Lagrangian gradient matches finite differences off the kink."""
-    from .problem import flatten, unflatten
-
     rng = np.random.default_rng(5)
     worst = 0.0
     for name in ("P1", "P2", "P4"):

@@ -7,7 +7,6 @@ from bilevelkit.problem import fixture
 from bilevelkit.sensitivity import (
     NotKkt,
     StrictComplementarityViolated,
-    build_k,
     build_w,
     implicit_jacobians,
 )
@@ -30,10 +29,9 @@ def test_build_w_rejects_biactive():
 
 def test_build_k_p1_active():
     p1 = fixture("P1")
-    act = active_sets(p1, np.array([0.0]), np.array([1.0]), np.array([1.0]))
-    k = build_k(p1, np.array([0.0]), np.array([1.0]), np.zeros(0), np.array([1.0]), act)
+    sr = implicit_jacobians(p1, np.array([0.0]), np.array([1.0]), np.zeros(0), np.array([1.0]))
     # rows: grad_y L jacobian [hess_yy, J_yg^T]; complementarity [(1-w) J_yg, -w]
-    assert np.allclose(k, [[1.0, -1.0], [-1.0, 0.0]])
+    assert np.allclose(sr.K, [[1.0, -1.0], [-1.0, 0.0]])
 
 
 def test_implicit_jacobians_hand_values():
