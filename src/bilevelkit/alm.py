@@ -43,12 +43,16 @@ class ReferenceTooClose(ValueError):
     """Every trace point already coincides with the reference solution."""
 
 
+# Armijo line search of the inner solve: sufficient-decrease constant, step
+# shrink factor and the number of shrinks before the search gives up.
+LS_C = 1e-4
+LS_SHRINK = 0.5
+LS_MAX_BACKTRACKS = 60
+
+
 @dataclass(frozen=True)
 class InnerConfig:
     max_iter: int = 500
-    ls_c: float = 1e-4
-    ls_shrink: float = 0.5
-    ls_max_backtracks: int = 60
 
 
 @dataclass(frozen=True)
@@ -200,17 +204,17 @@ def inner_minimize(
 
         t = 1.0
         accepted = False
-        for _ in range(cfg.ls_max_backtracks):
+        for _ in range(LS_MAX_BACKTRACKS):
             trial = u + t * direction
             try:
                 t_value, t_grad, trial = _eval_with_kink_retry(problem, trial, lam, rho)
             except ArithmeticError:
-                t *= cfg.ls_shrink
+                t *= LS_SHRINK
                 continue
-            if t_value <= value + cfg.ls_c * t * slope:
+            if t_value <= value + LS_C * t * slope:
                 accepted = True
                 break
-            t *= cfg.ls_shrink
+            t *= LS_SHRINK
         if not accepted:
             if np.array_equal(h_inv, np.eye(dim)):
                 break  # steepest descent cannot progress; numerical floor

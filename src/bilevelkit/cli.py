@@ -115,6 +115,8 @@ def _parse_vector(text, dim: int, name: str) -> np.ndarray:
         raise CliError(2, f"could not parse --{name} value {text!r} as a comma-separated vector")
     if vals.size != dim:
         raise CliError(3, f"--{name} expects {dim} component(s), got {vals.size}")
+    if not np.isfinite(vals).all():
+        raise CliError(2, f"--{name} components must be finite, got {text!r}")
     return vals
 
 
@@ -358,6 +360,8 @@ def cmd_check(args, argv) -> int:
 
 def cmd_sens(args, argv) -> int:
     t0 = time.perf_counter()
+    if not 0.0 < args.fd_step < math.inf:
+        raise CliError(2, f"--fd-step must be positive and finite, got {args.fd_step!r}")
     problem = _load(args)
     x = _parse_vector(args.x, problem.n, "x")
     y0 = _parse_vector(args.y, problem.m, "y") if args.y else None
@@ -394,14 +398,15 @@ def cmd_sens(args, argv) -> int:
                 "Jxi": (sr.Jxi, fd[problem.m + problem.r:]),
             }
             print(f"lower solution at x={args.x}: y={y} mu={mu} xi={xi}")
-            worst = 0.0
+            deltas = []
             rows = []
             for name, (exact, approx) in blocks.items():
                 delta = float(np.abs(exact - approx).max(initial=0.0))
-                worst = max(worst, delta)
+                deltas.append(delta)
                 evidence[f"fd_delta_{name}"] = delta
                 matrices[f"fd_{name}"] = approx
                 rows.append((name, f"max |exact - fd| = {delta:.3e}"))
+            worst = float(np.max(deltas))  # a NaN delta makes worst NaN and the verdict false
             verdicts["fd_consistent"] = worst <= args.fd_tol
             evidence["fd_delta_max"] = worst
             for name in ("Jy", "Jmu", "Jxi"):
@@ -470,10 +475,13 @@ def cmd_solve(args, argv) -> int:
     lam_dim = problem.p + problem.q + problem.m + problem.r + problem.s
     lam0 = unflatten_multiplier(problem, _parse_vector(args.lam0, lam_dim, "lam0"))
     u0 = PrimalDualPoint(x=x0, y=y0, mu=mu0, xi=xi0)
-    config = alm_mod.AlmConfig(
-        rho0=args.rho0, rho_growth=args.rho_growth,
-        outer_tol=args.tol, max_outer=args.max_outer,
-    )
+    try:
+        config = alm_mod.AlmConfig(
+            rho0=args.rho0, rho_growth=args.rho_growth,
+            outer_tol=args.tol, max_outer=args.max_outer,
+        )
+    except ValueError as exc:
+        raise CliError(2, f"invalid solve settings: {exc}")
 
     trace = _run_alm(problem, u0, lam0, config)
 

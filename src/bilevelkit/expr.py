@@ -11,7 +11,9 @@ Grammar (lowest to highest precedence):
 Variables are x<k> / y<k> with 1-based indices; recognized calls are sin, cos,
 exp, log, sqrt.  Whitespace is insignificant.  Differentiation is symbolic
 with constant folding and 0/1 identities only, so printing and reparsing any
-tree built here reproduces it node for node.
+tree built here reproduces it node for node.  `compile_expr` differentiates
+nothing: a `CompiledFunction` builds its derivative trees on first request,
+and its Hessian tables list only the entries that are not Const(+0.0).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -499,69 +502,75 @@ def to_string(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class CompiledFunction:
-    """An expression with precomputed symbolic gradient and Hessian trees."""
+    """An expression whose derivative trees are built on first request, then kept.
+
+    A Hessian table is a tuple of (i, k, tree) entries without the trees equal
+    to Const(+0.0); a symmetric block lists its upper triangle (k >= i) in
+    row-major order and is mirrored when evaluated.
+    """
 
     expr: Expr
     n: int
     m: int
-    _gx: tuple
-    _gy: tuple
-    _hxx: tuple
-    _hxy: tuple
-    _hyy: tuple
 
-    @property
+    @cached_property
     def x_partials(self) -> tuple:
         """Symbolic first-partial trees d/dx1..d/dxn."""
-        return self._gx
+        return tuple(diff(self.expr, "x", i + 1) for i in range(self.n))
 
-    @property
+    @cached_property
     def y_partials(self) -> tuple:
         """Symbolic first-partial trees d/dy1..d/dym."""
-        return self._gy
+        return tuple(diff(self.expr, "y", j + 1) for j in range(self.m))
+
+    @cached_property
+    def _hxx(self) -> tuple:
+        return _entries(self.x_partials, "x", self.n, upper=True)
+
+    @cached_property
+    def _hxy(self) -> tuple:
+        return _entries(self.x_partials, "y", self.m, upper=False)
+
+    @cached_property
+    def _hyy(self) -> tuple:
+        return _entries(self.y_partials, "y", self.m, upper=True)
 
     def value(self, x, y) -> float:
         return evaluate(self.expr, x, y)
 
     def grad_x(self, x, y) -> np.ndarray:
-        return np.array([evaluate(t, x, y) for t in self._gx])
+        return np.array([evaluate(t, x, y) for t in self.x_partials])
 
     def grad_y(self, x, y) -> np.ndarray:
-        return np.array([evaluate(t, x, y) for t in self._gy])
+        return np.array([evaluate(t, x, y) for t in self.y_partials])
 
     def hess_xx(self, x, y) -> np.ndarray:
-        return _eval_table(self._hxx, x, y, (self.n, self.n))
+        return _eval_table(self._hxx, x, y, (self.n, self.n), mirror=True)
 
     def hess_xy(self, x, y) -> np.ndarray:
-        return _eval_table(self._hxy, x, y, (self.n, self.m))
+        return _eval_table(self._hxy, x, y, (self.n, self.m), mirror=False)
 
     def hess_yy(self, x, y) -> np.ndarray:
-        return _eval_table(self._hyy, x, y, (self.m, self.m))
+        return _eval_table(self._hyy, x, y, (self.m, self.m), mirror=True)
 
 
-def _eval_table(table, x, y, shape) -> np.ndarray:
+def _entries(grads, axis, size, upper) -> tuple:
+    table = ((i, k, diff(g, axis, k + 1))
+             for i, g in enumerate(grads) for k in range(i if upper else 0, size))
+    # Const(-0.0) stays: np.zeros would turn it into +0.0
+    return tuple((i, k, t) for i, k, t in table
+                 if not (t == ZERO and math.copysign(1.0, t.value) > 0))
+
+
+def _eval_table(entries, x, y, shape, mirror) -> np.ndarray:
     out = np.zeros(shape)
-    for i, row in enumerate(table):
-        for k, t in enumerate(row):
-            out[i, k] = evaluate(t, x, y)
+    for i, k, t in entries:
+        out[i, k] = evaluate(t, x, y)
+        if mirror:
+            out[k, i] = out[i, k]
     return out
 
 
-def _symmetric_table(grads, axis, size):
-    rows = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for k in range(i, size):
-            d = diff(grads[i], axis, k + 1)
-            rows[i][k] = d
-            rows[k][i] = d  # symmetric by construction
-    return tuple(tuple(r) for r in rows)
-
-
 def compile_expr(e: Expr, n: int, m: int) -> CompiledFunction:
-    """Precompute symbolic first and second derivative trees for fast reuse."""
-    gx = tuple(diff(e, "x", i + 1) for i in range(n))
-    gy = tuple(diff(e, "y", j + 1) for j in range(m))
-    hxx = _symmetric_table(gx, "x", n)
-    hyy = _symmetric_table(gy, "y", m)
-    hxy = tuple(tuple(diff(gx[i], "y", j + 1) for j in range(m)) for i in range(n))
-    return CompiledFunction(expr=e, n=n, m=m, _gx=gx, _gy=gy, _hxx=hxx, _hxy=hxy, _hyy=hyy)
+    """Bundle an expression with its dimensions; derivatives come on first use."""
+    return CompiledFunction(expr=e, n=n, m=m)

@@ -5,8 +5,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bilevelkit import cli
 from bilevelkit.cli import main
 
 REPORT_KEYS = [
@@ -162,6 +164,47 @@ def test_bad_vector_value(capsys):
     code = main(["check", "--fixture", "P1", "--x", "zero", "--y", "1"])
     assert code == 2
     assert "could not parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fixture", "P1", "--x", "nan", "--y", "1"],
+    ["sens", "--fixture", "P1", "--x", "inf"],
+    ["solve", "--fixture", "P2", "--y0", "0,-inf"],
+], ids=["check-nan", "sens-inf", "solve-y0"])
+def test_non_finite_vector_value(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5"])
+def test_sens_rejects_non_positive_fd_step(capsys, step):
+    assert main(["sens", "--fixture", "P1", "--x", "0", f"--fd-step={step}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--fd-step" in err
+
+
+def test_sens_nan_fd_delta_fails_the_verdict(tmp_path, monkeypatch):
+    def nan_jacobian(fn, x, h):
+        out = fn(x)
+        return np.full((out.size, x.size), np.nan)
+
+    monkeypatch.setattr(cli, "fd_jacobian", nan_jacobian)
+    out = tmp_path / "sens.json"
+    assert main(["sens", "--fixture", "P1", "--x", "0", "--json", str(out)]) == 0
+    report, _ = read_report(out)
+    assert report["evidence"]["fd_delta_Jy"] == "nan"
+    assert report["evidence"]["fd_delta_max"] == "nan"
+    assert report["verdicts"]["fd_consistent"] is False
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho0", "0"], ["--rho-growth", "0.5"], ["--tol", "0"],
+], ids=["rho0", "rho-growth", "tol"])
+def test_solve_rejects_invalid_settings(capsys, flags):
+    assert main(["solve", "--fixture", "P1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid solve settings" in err
 
 
 def test_solve_converges_and_reports_rates(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Parser, differentiation, and printer tests for the expression core."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilevelkit import expr
 from bilevelkit.expr import (
+    ZERO,
     DomainError,
     ParseError,
     compile_expr,
@@ -15,6 +19,7 @@ from bilevelkit.expr import (
     parse,
     to_string,
 )
+from bilevelkit.problem import load_problem
 
 
 def ev(text, x, y, n=2, m=2):
@@ -166,13 +171,81 @@ def test_polynomial_identity_hypothesis(a, b):
     assert evaluate(lhs, x, y) == pytest.approx(evaluate(rhs, x, y), abs=1e-9)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_fixture_expression_round_trips_random_trees(seed):
+def _composed_text(seed):
     # deterministic random trees built from the pool by composition
     rng = np.random.default_rng(seed)
     parts = [("(" + _POOL[rng.integers(len(_POOL))] + ")") for _ in range(3)]
     ops = [" + ", " - ", " * "]
-    text = parts[0] + ops[rng.integers(3)] + parts[1] + ops[rng.integers(3)] + parts[2]
-    e = parse(text, 2, 2)
+    return parts[0] + ops[rng.integers(3)] + parts[1] + ops[rng.integers(3)] + parts[2]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_fixture_expression_round_trips_random_trees(seed):
+    e = parse(_composed_text(seed), 2, 2)
     assert parse(to_string(e), 2, 2) == e
+
+
+def _family_text(n, m):
+    """The benchmark's (n, m) problem family at its unperturbed seed, as problem-file text."""
+    pair = [f"x{(i + 1) % n + 1}" for i in range(m)]
+    upper = " + ".join(f"({pair[i]} - {(i + 1) / 10!r})^2 + y{i + 1}^2" for i in range(m))
+    lower = " + ".join(f"0.5*(y{i + 1} - {pair[i]})^2 + 0.1*y{i + 1}^4" for i in range(m))
+    rows = [f"dims n={n} m={m}", f"upper.objective {upper}", f"lower.objective {lower}"]
+    return "\n".join(rows + [f"lower.ineq 0.2 - y{i + 1}" for i in range(m)]) + "\n"
+
+
+def test_load_problem_differentiates_nothing(monkeypatch):
+    calls = []
+    original = expr.diff
+
+    def counted(e, axis, index):
+        calls.append(axis)
+        return original(e, axis, index)
+
+    monkeypatch.setattr(expr, "diff", counted)
+    problem = load_problem(_family_text(5, 40))
+    assert calls == []
+    fns = (problem.F, problem.f) + problem.g
+    # 130 of the 76,650 dense Hessian entries are not Const(+0.0)
+    assert sum(len(fn._hxx) + len(fn._hxy) + len(fn._hyy) for fn in fns) == 130
+    assert calls  # the tables were built on that first request
+
+
+def _dense_oracle(e, n, m, x, y):
+    """Every Hessian entry from diff(diff(e, .), .), upper triangle mirrored on symmetric blocks."""
+    def block(axis_i, size_i, axis_k, size_k, symmetric):
+        out = np.zeros((size_i, size_k))
+        for i in range(size_i):
+            for k in range(i if symmetric else 0, size_k):
+                out[i, k] = evaluate(diff(diff(e, axis_i, i + 1), axis_k, k + 1), x, y)
+                if symmetric:
+                    out[k, i] = out[i, k]
+        return out
+
+    return block("x", n, "x", n, True), block("x", n, "y", m, False), block("y", m, "y", m, True)
+
+
+def _assert_hessians_match_oracle(text):
+    e = parse(text, 2, 2)
+    fn = compile_expr(e, 2, 2)
+    for tables in (fn._hxx, fn._hxy, fn._hyy):
+        assert not any(t == ZERO and math.copysign(1.0, t.value) > 0 for _, _, t in tables)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        x, y = rng.uniform(-1.2, 1.2, 2), rng.uniform(-1.2, 1.2, 2)
+        got = (fn.hess_xx(x, y), fn.hess_xy(x, y), fn.hess_yy(x, y))
+        for a, b in zip(got, _dense_oracle(e, 2, 2, x, y)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# -x1*y1 has hess_yy == [[-0.0]]: a Const(-0.0) entry must stay in the table
+@pytest.mark.parametrize("text", _POOL + ["-x1*y1"])
+def test_sparse_hessians_equal_dense_oracle_bitwise(text):
+    _assert_hessians_match_oracle(text)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_sparse_hessians_equal_dense_oracle_on_composed_trees(seed):
+    _assert_hessians_match_oracle(_composed_text(seed))
