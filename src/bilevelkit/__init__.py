@@ -11,7 +11,6 @@ from .expr import CompiledFunction, DomainError, ParseError, compile_expr, parse
 from .grid import GridResult, GridUnsupported, run_grid
 from .lower import (
     ActiveSets,
-    CheckTolerances,
     Inconsistent,
     JacobianUniquenessReport,
     active_sets,
@@ -54,7 +53,6 @@ __all__ = [
     "AlmTrace",
     "BilevelProblem",
     "CheckResult",
-    "CheckTolerances",
     "CompiledFunction",
     "DimensionMismatch",
     "DomainError",

@@ -16,6 +16,7 @@ import numpy as np
 from .lower import point_eval
 from .optimality import (
     NondifferentiablePoint,
+    _fp_u_grad,
     check_first_order_fp,
     fp_constraint_jacobian,
     fp_constraints,
@@ -48,6 +49,11 @@ class ReferenceTooClose(ValueError):
 LS_C = 1e-4
 LS_SHRINK = 0.5
 LS_MAX_BACKTRACKS = 60
+# Inner tolerance of an outer round: PSI_COEFF * sigma^1.5, at least EPS_FLOOR.
+PSI_COEFF = 0.1
+EPS_FLOOR = 1e-12
+# Evaluations nudging xi off an exact kink before the last, unguarded one.
+KINK_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -57,21 +63,19 @@ class InnerConfig:
 
 @dataclass(frozen=True)
 class AlmConfig:
-    """Outer-loop knobs; inner tolerance is psi_coeff * sigma^1.5 (floored)."""
+    """Outer-loop knobs; inner tolerance is PSI_COEFF * sigma^1.5 (floored)."""
 
     rho0: float = 10.0
     rho_growth: float = 10.0
     rho_max: float = 1e8
     c_hat: float = 1e3
-    psi_coeff: float = 0.1
     outer_tol: float = 1e-8
     max_outer: int = 50
-    eps_floor: float = 1e-12
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
-        if min(self.rho0, self.c_hat, self.psi_coeff, self.outer_tol) <= 0:
-            raise ValueError("rho0, c_hat, psi_coeff, outer_tol must be positive")
+        if min(self.rho0, self.c_hat, self.outer_tol) <= 0:
+            raise ValueError("rho0, c_hat, outer_tol must be positive")
         if self.rho_growth < 1.0:
             raise ValueError("rho_growth must be at least 1")
 
@@ -122,7 +126,9 @@ def aug_lagrangian(problem: BilevelProblem, u: PrimalDualPoint, lam: UpperMultip
 
     Equality-type blocks c contribute lam.c + (rho/2)|c|^2; the upper
     inequality block contributes (|max(0, lam_G + rho G)|^2 - |lam_G|^2)/(2 rho).
-    Raises NondifferentiablePoint only when some g_i + xi_i is exactly zero.
+    The gradient is the reformulated Lagrangian's at the multiplier estimate
+    proj_polar(lam + rho Gtilde(u)).  Raises NondifferentiablePoint only when
+    some g_i + xi_i is exactly zero.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -137,15 +143,10 @@ def aug_lagrangian(problem: BilevelProblem, u: PrimalDualPoint, lam: UpperMultip
     shifted = np.maximum(lam.lam_G + rho * cons.G, 0.0)
     value += (float(shifted @ shifted) - float(lam.lam_G @ lam.lam_G)) / (2.0 * rho)
 
-    n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    grad = np.concatenate([rec.grad_x(problem.F), rec.grad_y(problem.F), np.zeros(r + s)])
-    grad = grad + eq_jac.T @ (lam_eq + rho * c_eq)
-    if problem.q:
-        grad = grad + g_jac.T @ shifted
-    return float(value), grad
+    return float(value), _fp_u_grad(rec, eq_jac, g_jac, lam_eq + rho * c_eq, shifted)
 
 
-def _eval_with_kink_retry(problem, u_flat, lam, rho, retries: int = 5):
+def _eval_with_kink_retry(problem, u_flat, lam, rho):
     """Evaluate the penalized Lagrangian, nudging xi off exact kinks.
 
     Returns (value, grad, u_actual); the caller adopts u_actual so the nudge
@@ -153,7 +154,7 @@ def _eval_with_kink_retry(problem, u_flat, lam, rho, retries: int = 5):
     """
     n, m, r = problem.n, problem.m, problem.r
     u_try = u_flat
-    for _ in range(retries):
+    for _ in range(KINK_RETRIES):
         try:
             value, grad = aug_lagrangian(problem, unflatten(problem, u_try), lam, rho)
             return value, grad, u_try
@@ -295,7 +296,7 @@ def alm_solve(
             status = "converged"
             break
 
-        eps = max(cfg.psi_coeff * sigma ** 1.5, cfg.eps_floor)
+        eps = max(PSI_COEFF * sigma ** 1.5, EPS_FLOOR)
         inner = inner_minimize(problem, u_flat, lam_blocks, rho, eps, cfg.inner)
         cons_new = fp_constraints(problem, unflatten(problem, inner.u))
         lam_new = _multiplier_update(problem, lam_flat, rho, cons_new)

@@ -78,15 +78,22 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_VALUE_FLAGS = {
-    "--x", "--y", "--mu", "--xi", "--lamH", "--lamG",
-    "--x0", "--y0", "--mu0", "--xi0", "--lam0",
-    "--x-range", "--y-range",
-}
 _NUMERIC_START = re.compile(r"^-[\d.,]")
 
 
-def _absorb_negative_values(argv):
+def _value_flags(parser: argparse.ArgumentParser) -> set:
+    """Every option string, in the parser and its subparsers, whose action takes a value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
+
+
+def _absorb_negative_values(argv, value_flags):
     """Join value flags with a following negative-number token using '='.
 
     argparse would otherwise read "-1,1" as an option string, so
@@ -96,7 +103,7 @@ def _absorb_negative_values(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and _NUMERIC_START.match(argv[i + 1]):
+        if tok in value_flags and i + 1 < len(argv) and _NUMERIC_START.match(argv[i + 1]):
             out.append(tok + "=" + argv[i + 1])
             i += 2
         else:
@@ -710,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_absorb_negative_values(raw))
+    args = parser.parse_args(_absorb_negative_values(raw, _value_flags(parser)))
     try:
         return args.func(args, raw)
     except CliError as exc:

@@ -22,6 +22,9 @@ import numpy as np
 from .expr import evaluate_array
 from .problem import BilevelProblem
 
+# Golden-section steps of each scalar polish; 60 shrink a bracket by about 3e-13.
+GOLDEN_ITERS = 60
+
 
 class GridUnsupported(ValueError):
     """Grid search only handles n <= 2 and m <= 2."""
@@ -57,14 +60,14 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _golden(fn, lo: float, hi: float, iters: int = 60):
-    """Golden-section minimize a scalar function on [lo, hi]."""
+def _golden(fn, lo: float, hi: float):
+    """Golden-section minimize a scalar function on [lo, hi] in GOLDEN_ITERS steps."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

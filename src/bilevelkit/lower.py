@@ -1,9 +1,17 @@
-"""Lower-level machinery: Lagrangian, KKT residual, active sets, regularity report, solver.
+"""Lower-level machinery: Lagrangian, KKT residual, its linearization, active sets,
+regularity report, solver.
 
 The lower problem at fixed x is min_y f(x,y) s.t. h(x,y)=0, g(x,y)<=0 with
 Lagrangian L = f + mu^T h + xi^T g.  The KKT system is written as the
 semismooth residual (grad_y L; h; g - min(g+xi, 0)), which vanishes exactly at
 KKT points with correct multiplier signs.
+
+The residual's Jacobian is built here and nowhere else: `_assemble_k` gives
+K, its derivative in (y, mu, xi), and `_assemble_b` gives B, its derivative
+in x, both with the complementarity rows masked by branch weights w.  The
+Newton solve and multiplier recovery use K, the implicit solution map solves
+K J = -B, and the reformulated problem's equality Jacobian stacks [B | K]
+under its upper-level rows.
 
 Every KKT building block reads the problem functions at (x, y) from one
 evaluation record, `point_eval(problem, x, y)`.  The record computes each
@@ -25,7 +33,14 @@ import numpy as np
 from .numerics import Singular, full_row_rank, lu_factor, min_eig_sym, nullspace_basis
 from .problem import BilevelProblem
 
-DEFAULT_TAU_ACT = 1e-7
+# Active-set classification width: g_i or xi_i within it of zero counts as zero.
+TAU_ACT = 1e-7
+# Regularity report thresholds: max-norm bound on the KKT residual, relative
+# smallest-singular-value cutoff of a full-row-rank test, and reduced-Hessian
+# minimum-eigenvalue cutoff of the curvature test.
+KKT_TOL = 1e-9
+RANK_REL = 1e-8
+SOSC_TOL = 1e-8
 
 
 class Inconsistent(ValueError):
@@ -47,21 +62,6 @@ class ActiveSets:
     alpha: tuple
     beta: tuple
     gamma: tuple
-
-
-@dataclass(frozen=True)
-class CheckTolerances:
-    """Thresholds for the regularity report.
-
-    kkt: max-norm bound on the KKT residual; tau_act: active-set
-    classification width; licq_rel: relative smallest-singular-value cutoff;
-    sosc: reduced-Hessian minimum-eigenvalue cutoff.
-    """
-
-    kkt: float = 1e-9
-    tau_act: float = DEFAULT_TAU_ACT
-    licq_rel: float = 1e-8
-    sosc: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -214,17 +214,17 @@ def kkt_residual(problem: BilevelProblem, x, y, mu, xi) -> np.ndarray:
     return np.concatenate([grad, h_vals, comp])
 
 
-def _classify(g_vals: np.ndarray, xi: np.ndarray, tau_act: float):
-    """Split indices into (alpha, beta, gamma, infeasible) per the tolerance."""
+def _classify(g_vals: np.ndarray, xi: np.ndarray):
+    """Split indices into (alpha, beta, gamma, infeasible) at width TAU_ACT."""
     alpha, beta, gamma, bad = [], [], [], []
     for i, (gi, xii) in enumerate(zip(g_vals, xi)):
-        if gi > tau_act:
+        if gi > TAU_ACT:
             bad.append(i)
             gamma.append(i)
-        elif abs(gi) <= tau_act:
-            if xii > tau_act:
+        elif abs(gi) <= TAU_ACT:
+            if xii > TAU_ACT:
                 alpha.append(i)
-            elif abs(xii) <= tau_act:
+            elif abs(xii) <= TAU_ACT:
                 beta.append(i)
             else:
                 gamma.append(i)
@@ -233,27 +233,23 @@ def _classify(g_vals: np.ndarray, xi: np.ndarray, tau_act: float):
     return tuple(alpha), tuple(beta), tuple(gamma), tuple(bad)
 
 
-def active_sets(problem: BilevelProblem, x, y, xi, tau_act: float = DEFAULT_TAU_ACT) -> ActiveSets:
+def active_sets(problem: BilevelProblem, x, y, xi) -> ActiveSets:
     """Classify inequality indices at a (near-)feasible point.
 
-    Raises Inconsistent when some g_i exceeds tau_act, since the
+    Raises Inconsistent when some g_i exceeds TAU_ACT, since the
     classification is meaningless at infeasible points.
     """
-    if tau_act <= 0:
-        raise ValueError("tau_act must be positive")
     g_vals = point_eval(problem, x, y).values("g")
-    alpha, beta, gamma, bad = _classify(g_vals, xi, tau_act)
+    alpha, beta, gamma, bad = _classify(g_vals, xi)
     if bad:
         raise Inconsistent(
             f"constraint values {[float(g_vals[i]) for i in bad]} at indices {list(bad)} "
-            f"exceed tau_act={tau_act}"
+            f"exceed tau_act={TAU_ACT}"
         )
     return ActiveSets(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def check_jacobian_uniqueness(
-    problem: BilevelProblem, x, y, mu, xi, tols: CheckTolerances | None = None
-) -> JacobianUniquenessReport:
+def check_jacobian_uniqueness(problem: BilevelProblem, x, y, mu, xi) -> JacobianUniquenessReport:
     """Report KKT, LICQ, strict complementarity, and curvature verdicts.
 
     Every regularity failure shows up as a False verdict with its evidence;
@@ -261,16 +257,15 @@ def check_jacobian_uniqueness(
     propagates.  Infeasible inequality components are counted as inactive
     for the gradient stack; the KKT verdict reports the violation anyway.
     """
-    tols = tols or CheckTolerances()
     res = kkt_residual(problem, x, y, mu, xi)
     kkt_norm = float(np.linalg.norm(res, np.inf)) if res.size else 0.0
-    kkt_ok = kkt_norm <= tols.kkt
+    kkt_ok = kkt_norm <= KKT_TOL
 
     rec = point_eval(problem, x, y)
     g_vals = rec.values("g")
-    alpha, beta, _, _ = _classify(g_vals, xi, tols.tau_act)
+    alpha, beta, _, _ = _classify(g_vals, xi)
     stacked = np.vstack([rec.jac_y("h"), rec.jac_y("g")[sorted(alpha + beta)]])
-    licq_ok, min_sv = full_row_rank(stacked, tols.licq_rel)
+    licq_ok, min_sv = full_row_rank(stacked, RANK_REL)
 
     if problem.s:
         margin = float(np.min(xi - g_vals))
@@ -290,7 +285,7 @@ def check_jacobian_uniqueness(
             reduced = z.T @ rec.lagrangian(mu, xi, "hess_yy") @ z
             reduced = 0.5 * (reduced + reduced.T)
             min_eig = float(min_eig_sym(reduced))
-            sosc_ok = min_eig > tols.sosc
+            sosc_ok = min_eig > SOSC_TOL
 
     return JacobianUniquenessReport(
         kkt_ok=kkt_ok,
@@ -318,12 +313,15 @@ def newton_weights(problem: BilevelProblem, x, y, xi) -> np.ndarray:
     return _branch_weights(point_eval(problem, x, y).values("g"), xi)
 
 
-def _assemble_k(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:
-    """The (m+r+s)-square block matrix with complementarity rows masked by w."""
+def _assemble_k(rec: PointEval, mu, xi, w: np.ndarray, out=None) -> np.ndarray:
+    """K, the residual's (m+r+s)-square (y, mu, xi)-Jacobian, complementarity rows masked by w.
+
+    Written into `out`, a zero block of that shape, when one is given.
+    """
     m, r, s = rec.problem.m, rec.problem.r, rec.problem.s
     jh = rec.jac_y("h")
     jg = rec.jac_y("g")
-    k = np.zeros((m + r + s, m + r + s))
+    k = np.zeros((m + r + s, m + r + s)) if out is None else out
     k[:m, :m] = rec.lagrangian(mu, xi, "hess_yy")
     k[:m, m:m + r] = jh.T
     k[:m, m + r:] = jg.T
@@ -331,6 +329,19 @@ def _assemble_k(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:
     k[m + r:, :m] = (1.0 - w)[:, None] * jg
     k[m + r:, m + r:] = -np.diag(w)
     return k
+
+
+def _assemble_b(rec: PointEval, mu, xi, w: np.ndarray, out=None) -> np.ndarray:
+    """B, the residual's x-Jacobian [hess_xy(L)^T; J_x h; (1-w) J_x g] of shape (m+r+s, n).
+
+    Written into `out`, a block of that shape, when one is given.
+    """
+    n, m, r, s = rec.problem.n, rec.problem.m, rec.problem.r, rec.problem.s
+    b = np.empty((m + r + s, n)) if out is None else out
+    b[:m] = rec.lagrangian(mu, xi, "hess_xy").T
+    b[m:m + r] = rec.jac_x("h")
+    b[m + r:] = (1.0 - w)[:, None] * rec.jac_x("g")
+    return b
 
 
 def solve_lower(
@@ -347,8 +358,10 @@ def solve_lower(
     Returns (y, mu, xi, converged).  The Newton matrix reuses the
     complementarity branch rule of newton_weights, so it is defined at
     infeasible iterates too.  Raises SingularJacobian when the matrix cannot
-    be factored; running out of iterations returns converged=False with the
-    last iterate.
+    be factored.  Running out of iterations returns converged=False with the
+    last iterate; so does a Newton step on which 40 halvings find no
+    sufficient decrease of the residual 2-norm, and the iterate is then the
+    one before that step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -373,7 +386,6 @@ def solve_lower(
 
         two_norm = float(np.linalg.norm(res))
         t = 1.0
-        best = None
         for _ in range(40):
             y_t = y + t * step[:m]
             mu_t = mu + t * step[m:m + r]
@@ -383,16 +395,12 @@ def solve_lower(
             except ArithmeticError:
                 t *= 0.5
                 continue
-            trial_norm = float(np.linalg.norm(trial))
-            if best is None:
-                best = (y_t, mu_t, xi_t)
-            if trial_norm <= (1.0 - 1e-4 * t) * two_norm:
-                best = (y_t, mu_t, xi_t)
+            if float(np.linalg.norm(trial)) <= (1.0 - 1e-4 * t) * two_norm:
                 break
             t *= 0.5
-        if best is None:
+        else:
             return y, mu, xi, False
-        y, mu, xi = best
+        y, mu, xi = y_t, mu_t, xi_t
 
     res = kkt_residual(problem, x, y, mu, xi)
     converged = bool(res.size == 0 or np.linalg.norm(res, np.inf) <= tol)

@@ -19,6 +19,11 @@ Vector = np.ndarray
 
 # Relative singular-value threshold below which a matrix is declared singular.
 SINGULAR_REL_TOL = 1e-12
+# Relative asymmetry above which min_eig_sym raises NotSymmetric.
+SYM_TOL = 1e-10
+# Simplex: reduced-cost tolerance of an entering variable; pivot cap per phase.
+LP_TOL = 1e-9
+LP_MAX_ITER = 20000
 
 
 class Singular(ArithmeticError):
@@ -81,21 +86,20 @@ def lu_factor(a) -> LuFactorization:
     return LuFactorization(a=a, cond_estimate=smax / smin)
 
 
-def nullspace_basis(a, tol: float | None = None) -> Matrix:
+def nullspace_basis(a) -> Matrix:
     """Orthonormal basis of {d : A d = 0}.
 
-    Columns are orthonormal; singular values at or below `tol` are treated
-    as zero, so rank(A) + cols(result) = cols(A) at that tolerance and
-    every returned column satisfies ||A z||_2 <= tol.  The default tolerance
-    is max(shape) * eps * smax, the usual rank cutoff.
+    Columns are orthonormal; singular values at or below the usual rank
+    cutoff tol = max(shape) * eps * smax are treated as zero, so
+    rank(A) + cols(result) = cols(A) at that tolerance and every returned
+    column satisfies ||A z||_2 <= tol.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     rows, cols = a.shape
     if rows == 0 or a.size == 0:
         return np.eye(cols)
     _, s, vt = np.linalg.svd(a)
-    if tol is None:
-        tol = max(rows, cols) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    tol = max(rows, cols) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     return vt[rank:].T.copy()
 
@@ -108,18 +112,18 @@ def full_row_rank(a: Matrix, rel: float):
     return float(sv[-1]) > rel * (1.0 + float(sv[0])), float(sv[-1])
 
 
-def min_eig_sym(s, sym_tol: float = 1e-10) -> float:
+def min_eig_sym(s) -> float:
     """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric eigensolver).
 
-    Raises NotSymmetric when max|S - S^T| exceeds sym_tol * max(1, ||S||_max).
+    Raises NotSymmetric when max|S - S^T| exceeds SYM_TOL * max(1, ||S||_max).
     """
     s = _as_square(s)
     if s.shape[0] == 0:
         raise ValueError("empty matrix has no eigenvalues")
     scale = max(1.0, float(np.max(np.abs(s))))
     asym = float(np.max(np.abs(s - s.T)))
-    if asym > sym_tol * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {sym_tol * scale:.3e}")
+    if asym > SYM_TOL * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYM_TOL * scale:.3e}")
     return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 
@@ -162,10 +166,10 @@ class LpProblem:
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 
-def _simplex(c, a, b, lo, hi, basis, stat, tol, max_iter):
+def _simplex(c, a, b, lo, hi, basis, stat):
     """Bounded-variable primal simplex with Bland's rule.  Mutates basis/stat."""
     meq, n = a.shape
-    for _ in range(max_iter):
+    for _ in range(LP_MAX_ITER):
         bmat = a[:, basis]
         try:
             fac = lu_factor(bmat)
@@ -179,10 +183,10 @@ def _simplex(c, a, b, lo, hi, basis, stat, tol, max_iter):
         z = c - a.T @ y
         enter = -1
         for j in range(n):
-            if stat[j] == _AT_LOWER and z[j] > tol:
+            if stat[j] == _AT_LOWER and z[j] > LP_TOL:
                 enter = j
                 break
-            if stat[j] == _AT_UPPER and z[j] < -tol:
+            if stat[j] == _AT_UPPER and z[j] < -LP_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -223,7 +227,7 @@ def _simplex(c, a, b, lo, hi, basis, stat, tol, max_iter):
     raise RuntimeError("simplex iteration limit reached")
 
 
-def lp_maximize(p: LpProblem, tol: float = 1e-9, max_iter: int = 20000):
+def lp_maximize(p: LpProblem):
     """Solve a bounded-box LP by two-phase simplex with Bland's rule.
 
     Returns (optimal value, solution vector).  Raises Infeasible when the
@@ -246,12 +250,12 @@ def lp_maximize(p: LpProblem, tol: float = 1e-9, max_iter: int = 20000):
     basis = list(range(n, n + meq))
     stat[basis] = _BASIC
     c1 = np.concatenate([np.zeros(n), -np.ones(meq)])
-    x, val1 = _simplex(c1, a1, b, lo, hi, basis, stat, tol, max_iter)
+    x, val1 = _simplex(c1, a1, b, lo, hi, basis, stat)
     if -val1 > 1e-9:
         raise Infeasible(f"phase-1 optimum {-val1:.3e} stayed positive")
     hi[n:] = 0.0  # freeze artificials at zero for phase 2
     c2 = np.concatenate([c, np.zeros(meq)])
-    x, val = _simplex(c2, a1, b, lo, hi, basis, stat, tol, max_iter)
+    x, val = _simplex(c2, a1, b, lo, hi, basis, stat)
     return float(c @ x[:n]), x[:n].copy()
 
 

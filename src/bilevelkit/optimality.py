@@ -9,6 +9,11 @@ the Lagrangian of the reformulated problem and its exact derivative blocks,
 recovers multipliers from the lower-level system, tests MFCQ via a small LP,
 assembles critical cones, and transports Hessians along the implicit solution
 map for cross-validation against finite differences.
+
+Only the upper-level rows of Gtilde's Jacobian are written here; its lower
+rows are [B | K] from the builders in `lower`.  The Lagrangian's u-gradient
+has one path, `_fp_u_grad`, which the augmented Lagrangian shares: its
+gradient is this one at proj_polar(lam + rho Gtilde(u)).
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ import numpy as np
 
 from . import expr as ex
 from .lower import (
-    DEFAULT_TAU_ACT,
+    RANK_REL,
+    TAU_ACT,
     PointEval,
+    _assemble_b,
     _assemble_k,
     _branch_weights,
     active_sets,
@@ -44,6 +51,14 @@ from .sensitivity import SingularK, build_w, implicit_jacobians
 
 
 SECOND_ORDER_MODES = ("necessary", "sufficient")
+# Second-order verdict margin on the reduced Hessian's minimum eigenvalue.
+TAU_PSD = 1e-7
+# MFCQ needs the direction LP's optimum t above this.
+T_TOL = 1e-8
+# sp_hessian_fd: difference step and the stencil's lower-level solve settings.
+SP_FD_STEP = 1e-4
+SP_SOLVE_TOL = 1e-11
+SP_SOLVE_MAX_ITER = 60
 
 
 class NondifferentiablePoint(ArithmeticError):
@@ -168,36 +183,28 @@ def fp_lagrangian_grad(
     branch weights at the current point, so points with g_i + xi_i within
     kink_tol of the kink raise NondifferentiablePoint (pass None to disable).
     """
-    mu, xi = u.mu, u.xi
     rec = point_eval(problem, u.x, u.y)
-    w = _kink_weights(rec, xi, kink_tol)
+    eq_jac, g_jac = fp_constraint_jacobian(problem, u, kink_tol)
+    cons = fp_constraints(problem, u)
+    value = rec.combination("value", problem.F, (lam.lam_H, problem.H), (lam.lam_G, problem.G))
+    value += (float(lam.lam_L @ cons.gradL) + float(lam.lam_h @ cons.h)
+              + float(lam.lam_g @ cons.comp))
+    lam_eq = np.concatenate([lam.lam_H, lam.lam_L, lam.lam_h, lam.lam_g])
+    return float(value), _fp_u_grad(rec, eq_jac, g_jac, lam_eq, lam.lam_G)
 
-    grad_l = rec.lagrangian(mu, xi, "grad_y")
-    hess_yy = rec.lagrangian(mu, xi, "hess_yy")
-    hess_xy = rec.lagrangian(mu, xi, "hess_xy")
-    h_vals = rec.values("h")
-    g_vals = rec.values("g")
-    comp = g_vals - np.minimum(g_vals + xi, 0.0)
 
-    upper = (problem.F, (lam.lam_H, problem.H), (lam.lam_G, problem.G))
-    value = rec.combination("value", *upper)
-    grad_x = rec.combination("grad_x", *upper)
-    grad_y = rec.combination("grad_y", *upper)
-    value += float(lam.lam_L @ grad_l) + float(lam.lam_h @ h_vals) + float(lam.lam_g @ comp)
+def _fp_u_grad(rec: PointEval, eq_jac, g_jac, lam_eq, lam_G) -> np.ndarray:
+    """u-gradient grad F + eq_jac^T lam_eq + g_jac^T lam_G of the reformulated Lagrangian.
 
-    grad_x = grad_x + hess_xy @ lam.lam_L
-    grad_y = grad_y + hess_yy @ lam.lam_L
-    for coef, fn in zip(lam.lam_h, problem.h):
-        grad_x = grad_x + coef * rec.grad_x(fn)
-        grad_y = grad_y + coef * rec.grad_y(fn)
-    for coef, wi, fn in zip(lam.lam_g, w, problem.g):
-        grad_x = grad_x + coef * (1.0 - wi) * rec.grad_x(fn)
-        grad_y = grad_y + coef * (1.0 - wi) * rec.grad_y(fn)
-
-    grad_mu = rec.jac_y("h") @ lam.lam_L if problem.r else np.zeros(0)
-    grad_xi = (rec.jac_y("g") @ lam.lam_L - w * lam.lam_g) if problem.s else np.zeros(0)
-
-    return float(value), np.concatenate([grad_x, grad_y, grad_mu, grad_xi])
+    lam_eq stacks the H, grad_y(lowL), h and comp multipliers in that order.
+    """
+    problem = rec.problem
+    grad = np.concatenate([rec.grad_x(problem.F), rec.grad_y(problem.F),
+                           np.zeros(problem.r + problem.s)])
+    grad = grad + eq_jac.T @ lam_eq
+    if problem.q:
+        grad = grad + g_jac.T @ lam_G
+    return grad
 
 
 def recover_multipliers(problem: BilevelProblem, u: PrimalDualPoint, lam_H=None, lam_G=None):
@@ -290,26 +297,17 @@ def fp_hessian(
 
 
 def _equality_jacobian(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:
-    """Rows [J H; J grad_y(lowL); J h; masked complementarity] over u-space."""
-    problem = rec.problem
-    n, m, p, r, s = problem.n, problem.m, problem.p, problem.r, problem.s
-    hess_yy = rec.lagrangian(mu, xi, "hess_yy")
-    hess_xy = rec.lagrangian(mu, xi, "hess_xy")
-    jxh, jyh = rec.jac_x("h"), rec.jac_y("h")
-    jxg, jyg = rec.jac_x("g"), rec.jac_y("g")
+    """Rows [J H; J grad_y(lowL); J h; masked complementarity] over u-space.
 
-    a = np.zeros((p + m + r + s, n + m + r + s))
+    Below the H rows sit [B | K], written in place by lower's builders.
+    """
+    problem = rec.problem
+    n, m, p = problem.n, problem.m, problem.p
+    a = np.zeros((p + m + problem.r + problem.s, n + m + problem.r + problem.s))
+    _assemble_k(rec, mu, xi, w, out=a[p:, n:])
+    _assemble_b(rec, mu, xi, w, out=a[p:, :n])
     a[:p, :n] = rec.jac_x("H")
     a[:p, n:n + m] = rec.jac_y("H")
-    a[p:p + m, :n] = hess_xy.T
-    a[p:p + m, n:n + m] = hess_yy
-    a[p:p + m, n + m:n + m + r] = jyh.T
-    a[p:p + m, n + m + r:] = jyg.T
-    a[p + m:p + m + r, :n] = jxh
-    a[p + m:p + m + r, n:n + m] = jyh
-    a[p + m + r:, :n] = (1.0 - w)[:, None] * jxg
-    a[p + m + r:, n:n + m] = (1.0 - w)[:, None] * jyg
-    a[p + m + r:, n + m + r:] = -np.diag(w)
     return a
 
 
@@ -327,7 +325,7 @@ def fp_constraint_jacobian(
     return eq_jac, _upper_rows(rec, problem.G)
 
 
-def matrix_a(problem: BilevelProblem, u: PrimalDualPoint, tau_act: float = DEFAULT_TAU_ACT) -> np.ndarray:
+def matrix_a(problem: BilevelProblem, u: PrimalDualPoint) -> np.ndarray:
     """Jacobian of the equality-type constraint blocks over u-space.
 
     Rows: upper equalities; the grad_y(lowL) block (whose (y, mu, xi)
@@ -335,7 +333,7 @@ def matrix_a(problem: BilevelProblem, u: PrimalDualPoint, tau_act: float = DEFAU
     complementarity rows.  Shape (p+m+r+s) x (n+m+r+s).  Weights come from
     the active sets, so strict complementarity is required.
     """
-    w = build_w(active_sets(problem, u.x, u.y, u.xi, tau_act))
+    w = build_w(active_sets(problem, u.x, u.y, u.xi))
     return _equality_jacobian(point_eval(problem, u.x, u.y), u.mu, u.xi, w)
 
 
@@ -349,27 +347,21 @@ def _upper_rows(rec: PointEval, fns) -> np.ndarray:
     return rows
 
 
-def check_mfcq_fp(
-    problem: BilevelProblem,
-    u: PrimalDualPoint,
-    tau_act: float = DEFAULT_TAU_ACT,
-    rank_rel: float = 1e-8,
-    t_tol: float = 1e-8,
-) -> MfcqReport:
+def check_mfcq_fp(problem: BilevelProblem, u: PrimalDualPoint) -> MfcqReport:
     """MFCQ test: equality rows full rank plus an interior direction.
 
     The direction subproblem maximizes t subject to A d = 0 and
     grad(G_i) . d + t <= 0 over the box d in [-1, 1], t in [0, 1]; MFCQ holds
-    iff the rank test passes and the optimum exceeds t_tol (vacuously when no
+    iff the rank test passes and the optimum exceeds T_TOL (vacuously when no
     upper inequality is active).
     """
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
-    a = matrix_a(problem, u, tau_act)
+    a = matrix_a(problem, u)
     rows = a.shape[0]
-    rank_ok, min_sv = full_row_rank(a, rank_rel)
+    rank_ok, min_sv = full_row_rank(a, RANK_REL)
 
     rec = point_eval(problem, u.x, u.y)
-    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -tau_act))
+    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -TAU_ACT))
     nu = n + m + r + s
     if not active:
         return MfcqReport(
@@ -398,7 +390,7 @@ def check_mfcq_fp(
     lo = np.concatenate([-np.ones(nu), [0.0], np.zeros(na)])
     hi = np.concatenate([np.ones(nu), [1.0], np.full(na, slack_cap)])
     t_opt, z = lp_maximize(LpProblem(c, eq, rhs, lo, hi))
-    direction_ok = t_opt > t_tol
+    direction_ok = t_opt > T_TOL
     return MfcqReport(
         holds=rank_ok and direction_ok,
         rank_ok=rank_ok,
@@ -416,31 +408,25 @@ def u_transform(problem: BilevelProblem, x, y, mu, xi) -> np.ndarray:
     return np.vstack([np.eye(problem.n), sr.Jy, sr.Jmu, sr.Jxi])
 
 
-def critical_cone_fp(
-    problem: BilevelProblem,
-    u: PrimalDualPoint,
-    lam: UpperMultiplier,
-    tau_act: float = DEFAULT_TAU_ACT,
-    rank_rel: float = 1e-8,
-) -> ConeRep:
+def critical_cone_fp(problem: BilevelProblem, u: PrimalDualPoint, lam: UpperMultiplier) -> ConeRep:
     """Build the critical cone at a first-order point.
 
-    When every active upper inequality carries a multiplier above tau_act the
+    When every active upper inequality carries a multiplier above TAU_ACT the
     cone is exactly the null space of the equality rows plus active-G rows
     (the objective row is then implied); otherwise the sign constraints are
     dropped and the basis spans an over-approximating subspace, flagged.
     """
-    a = matrix_a(problem, u, tau_act)
+    a = matrix_a(problem, u)
     rec = point_eval(problem, u.x, u.y)
-    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -tau_act))
+    active = tuple(int(i) for i in np.flatnonzero(rec.values("G") >= -TAU_ACT))
     active_rows = _upper_rows(rec, [problem.G[i] for i in active])
     objective_row = _upper_rows(rec, [problem.F])[0]
 
-    keep = [k for k, i in enumerate(active) if float(lam.lam_G[i]) > tau_act]
+    keep = [k for k, i in enumerate(active) if float(lam.lam_G[i]) > TAU_ACT]
     over_approx = len(keep) < len(active)
     basis = nullspace_basis(np.vstack([a, active_rows[keep]]) if keep else a)
 
-    unique, _ = full_row_rank(np.vstack([a, active_rows]) if active else a, rank_rel)
+    unique, _ = full_row_rank(np.vstack([a, active_rows]) if active else a, RANK_REL)
 
     return ConeRep(
         eq_matrix=a,
@@ -485,12 +471,10 @@ def check_second_order_fp(
     u: PrimalDualPoint,
     lam: UpperMultiplier,
     mode: str = "sufficient",
-    tau_psd: float = 1e-7,
-    tau_act: float = DEFAULT_TAU_ACT,
 ) -> SecondOrderReport:
     """Minimum eigenvalue of the reformulated Hessian over the cone basis.
 
-    The verdict is second_order_holds(min eig, mode, tau_psd).  An empty cone
+    The verdict is second_order_holds(min eig, mode).  An empty cone
     passes vacuously (evidence +inf).  Under an over-approximated cone the
     sufficient verdict stays valid; the necessary one is indicative.  Both
     modes share the eigenvalue, so a caller wanting both verdicts calls this
@@ -498,7 +482,7 @@ def check_second_order_fp(
     """
     if mode not in SECOND_ORDER_MODES:
         raise ValueError(f"mode must be necessary or sufficient, got {mode!r}")
-    cone = critical_cone_fp(problem, u, lam, tau_act=tau_act)
+    cone = critical_cone_fp(problem, u, lam)
     z = cone.subspace_basis
     if z.shape[1] == 0:
         min_eig = float("inf")
@@ -507,7 +491,7 @@ def check_second_order_fp(
         min_eig = float(min_eig_sym(0.5 * (reduced + reduced.T)))
     return SecondOrderReport(
         mode=mode,
-        holds=second_order_holds(min_eig, mode, tau_psd),
+        holds=second_order_holds(min_eig, mode),
         min_eigenvalue=min_eig,
         cone_dimension=int(z.shape[1]),
         cone_empty=z.shape[1] == 0,
@@ -516,9 +500,9 @@ def check_second_order_fp(
     )
 
 
-def second_order_holds(min_eig: float, mode: str, tau_psd: float = 1e-7) -> bool:
-    """necessary: min eig >= -tau_psd; sufficient: min eig >= +tau_psd."""
-    return min_eig >= (-tau_psd if mode == "necessary" else tau_psd)
+def second_order_holds(min_eig: float, mode: str) -> bool:
+    """necessary: min eig >= -TAU_PSD; sufficient: min eig >= +TAU_PSD."""
+    return min_eig >= (-TAU_PSD if mode == "necessary" else TAU_PSD)
 
 
 def sp_hessian_fd(
@@ -526,12 +510,9 @@ def sp_hessian_fd(
     x,
     lam_H=None,
     lam_G=None,
-    h_step: float = 1e-4,
     y0=None,
     mu0=None,
     xi0=None,
-    solver_tol: float = 1e-11,
-    solver_max_iter: int = 60,
 ) -> np.ndarray:
     """Finite-difference Hessian of x -> F + lam_H.H + lam_G.G along y(x).
 
@@ -544,7 +525,7 @@ def sp_hessian_fd(
 
     def reduced_grad(xv: np.ndarray) -> np.ndarray:
         y, mu, xi, converged = solve_lower(
-            problem, xv, y0=y0, mu0=mu0, xi0=xi0, tol=solver_tol, max_iter=solver_max_iter
+            problem, xv, y0=y0, mu0=mu0, xi0=xi0, tol=SP_SOLVE_TOL, max_iter=SP_SOLVE_MAX_ITER
         )
         if not converged:
             raise RuntimeError(f"lower-level solve did not converge at x={xv.tolist()}")
@@ -553,4 +534,4 @@ def sp_hessian_fd(
         upper = (problem.F, (lam_H, problem.H), (lam_G, problem.G))
         return rec.combination("grad_x", *upper) + sr.Jy.T @ rec.combination("grad_y", *upper)
 
-    return fd_hessian(reduced_grad, np.asarray(x, dtype=float), h=h_step)
+    return fd_hessian(reduced_grad, np.asarray(x, dtype=float), h=SP_FD_STEP)

@@ -3,7 +3,8 @@
 At a KKT point with strict complementarity, the semismooth system is smooth
 in a neighborhood and its y/mu/xi-block Jacobian K is nonsingular under the
 usual regularity; the solution-map Jacobians solve K * J = -B where B stacks
-the x-derivatives of the same residual rows.
+the x-derivatives of the same residual rows.  Both come from the builders in
+`lower`.
 """
 
 from __future__ import annotations
@@ -12,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower import (
-    DEFAULT_TAU_ACT,
-    ActiveSets,
-    _assemble_k,
-    active_sets,
-    kkt_residual,
-    point_eval,
-)
+from .lower import ActiveSets, _assemble_b, _assemble_k, active_sets, kkt_residual, point_eval
 from .numerics import Singular, lu_factor
 from .problem import BilevelProblem
+
+# KKT residual max-norm above which implicit_jacobians raises NotKkt.
+NOT_KKT_TOL = 1e-7
 
 
 class StrictComplementarityViolated(ValueError):
@@ -64,30 +61,21 @@ def build_w(active: ActiveSets) -> np.ndarray:
     return w
 
 
-def implicit_jacobians(
-    problem: BilevelProblem,
-    x,
-    y,
-    mu,
-    xi,
-    tau_act: float = DEFAULT_TAU_ACT,
-    kkt_tol: float = 1e-7,
-) -> SensitivityResult:
-    """Solve K * (Jy; Jmu; Jxi) = -(hess_yx L; Jx h; (I-W) Jx g) at a KKT point.
+def implicit_jacobians(problem: BilevelProblem, x, y, mu, xi) -> SensitivityResult:
+    """Solve K * (Jy; Jmu; Jxi) = -B, B = (hess_yx L; Jx h; (I-W) Jx g), at a KKT point.
 
-    Raises NotKkt if the residual exceeds kkt_tol, StrictComplementarityViolated
+    Raises NotKkt if the residual exceeds NOT_KKT_TOL, StrictComplementarityViolated
     on biactive indices, and SingularK if the factorization fails.
     """
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
     res = kkt_residual(problem, x, y, mu, xi)
-    if res.size and np.linalg.norm(res, np.inf) > kkt_tol:
-        raise NotKkt(f"KKT residual {np.linalg.norm(res, np.inf):.3e} exceeds {kkt_tol}")
+    if res.size and np.linalg.norm(res, np.inf) > NOT_KKT_TOL:
+        raise NotKkt(f"KKT residual {np.linalg.norm(res, np.inf):.3e} exceeds {NOT_KKT_TOL}")
 
-    w = build_w(active_sets(problem, x, y, xi, tau_act))
+    w = build_w(active_sets(problem, x, y, xi))
     rec = point_eval(problem, x, y)
     k = _assemble_k(rec, mu, xi, w)
-    rhs = np.vstack([rec.lagrangian(mu, xi, "hess_xy").T, rec.jac_x("h"),
-                     (1.0 - w)[:, None] * rec.jac_x("g")])
+    rhs = _assemble_b(rec, mu, xi, w)
 
     try:
         fac = lu_factor(k)

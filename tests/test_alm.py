@@ -9,13 +9,14 @@ from bilevelkit.alm import (
     InnerConfig,
     ReferenceTooClose,
     Stalled,
+    _multiplier_update,
     alm_solve,
     aug_lagrangian,
     inner_minimize,
     project_polar,
     rate_diagnostics,
 )
-from bilevelkit.optimality import recover_multipliers
+from bilevelkit.optimality import fp_constraints, fp_lagrangian_grad, recover_multipliers
 from bilevelkit.problem import (
     PrimalDualPoint,
     UpperMultiplier,
@@ -101,6 +102,22 @@ def test_aug_lagrangian_rejects_nonpositive_rho():
     p1 = fixture("P1")
     with pytest.raises(ValueError):
         aug_lagrangian(p1, point([1.5], [1.5], [], [0.0]), zero_lam(p1), rho=0.0)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P4"])
+def test_aug_lagrangian_gradient_is_fp_gradient_at_updated_multiplier(name):
+    # grad_u L_rho(u; lam) = grad_u L(u; proj_polar(lam + rho Gtilde(u))), bit for bit
+    problem = fixture(name)
+    rng = np.random.default_rng(7)
+    dim = problem.p + problem.q + problem.m + problem.r + problem.s
+    for _ in range(5):
+        u = point(rng.normal(size=problem.n), rng.normal(size=problem.m),
+                  rng.normal(size=problem.r), rng.normal(size=problem.s))
+        lam_flat, rho = rng.normal(size=dim), 10.0
+        _, grad = aug_lagrangian(problem, u, unflatten_multiplier(problem, lam_flat), rho)
+        lam_hat = _multiplier_update(problem, lam_flat, rho, fp_constraints(problem, u))
+        _, grad_hat = fp_lagrangian_grad(problem, u, unflatten_multiplier(problem, lam_hat))
+        assert np.array_equal(grad, grad_hat)
 
 
 def test_aug_lagrangian_stationary_at_solution_with_recovered_lam():

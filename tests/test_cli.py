@@ -177,11 +177,14 @@ def test_non_finite_vector_value(capsys, argv):
     assert err.startswith("error:") and "must be finite" in err
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-5"])
-def test_sens_rejects_non_positive_fd_step(capsys, step):
-    assert main(["sens", "--fixture", "P1", "--x", "0", f"--fd-step={step}"]) == 2
+@pytest.mark.parametrize("flag", [
+    ["--fd-step=0"], ["--fd-step=-1e-5"], ["--fd-step", "-1e-5"],
+], ids=["0", "-1e-5", "-1e-5-separate"])
+def test_sens_rejects_non_positive_fd_step(capsys, flag):
+    # a negative value as a separate token reaches the range check, not an argparse usage error
+    assert main(["sens", "--fixture", "P1", "--x", "0"] + flag) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--fd-step" in err
+    assert err.startswith("error:") and "--fd-step must be positive" in err
 
 
 def test_sens_nan_fd_delta_fails_the_verdict(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
-"""The KKT modules and `verify` import package modules only at module level.
+"""Structural guards on the KKT modules.
 
-A function-local `from . import` is how an import cycle between `lower`,
-`optimality` and `sensitivity` gets hidden; this guard keeps them out.
+They and `verify` import package modules only at module level: a
+function-local `from . import` is how an import cycle between `lower`,
+`optimality` and `sensitivity` gets hidden.  And the lower KKT system's
+Jacobian (K and B) is built only in `lower`, so no other KKT module asks an
+evaluation record for the lower Lagrangian's Hessian blocks.
 """
 
 import ast
@@ -26,3 +29,18 @@ def test_no_function_local_package_imports(module):
                 if isinstance(node, ast.ImportFrom) and node.level > 0
             ]
     assert not offenders, f"function-local package imports in {module}.py: {offenders}"
+
+
+@pytest.mark.parametrize("module", ["optimality", "sensitivity", "alm"])
+def test_lagrangian_hessian_blocks_only_requested_in_lower(module):
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lagrangian"
+        and any(isinstance(arg, ast.Constant) and arg.value in ("hess_yy", "hess_xy")
+                for arg in node.args)
+    ]
+    assert not offenders, f"Lagrangian Hessian blocks requested in {module}.py at lines {offenders}"

@@ -134,3 +134,16 @@ def test_solve_lower_warm_start_and_residual():
     assert y[0] == pytest.approx(0.0, abs=1e-10)
     assert xi[0] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(kkt_residual(p4, np.array([-1.0]), y, mu, xi)).max() <= 1e-10
+
+
+def test_solve_lower_never_accepts_a_worse_step():
+    # from this start a Newton step finds no sufficient decrease within 40 halvings
+    p3 = fixture("P3")
+    x = np.array([0.16009188964529208])
+    y0, xi0 = np.array([-1.7132235093151809]), np.array([-0.6110969237136499])
+    norms = []
+    for k in range(51):
+        y, mu, xi, ok = solve_lower(p3, x, y0=y0, xi0=xi0, max_iter=k)
+        norms.append(float(np.linalg.norm(kkt_residual(p3, x, y, mu, xi))))
+    assert not ok
+    assert all(later <= earlier for earlier, later in zip(norms, norms[1:])), norms

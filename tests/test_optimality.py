@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bilevelkit.lower import _assemble_b, point_eval
 from bilevelkit.numerics import fd_hessian, fd_jacobian
 from bilevelkit.optimality import (
     NondifferentiablePoint,
@@ -27,6 +28,7 @@ from bilevelkit.problem import (
     load_problem,
     unflatten,
 )
+from bilevelkit.sensitivity import implicit_jacobians
 
 P1_SOL = ("P1", [1.5], [1.5], [], [0.0])
 P2_SOL = ("P2", [0.0, 0.0], [0.5, 0.5], [-0.5], [])
@@ -126,6 +128,16 @@ def test_matrix_a_hand_values():
         [0.0, 0.0, 1.0, 1.0, 0.0],
     ])
     assert np.allclose(a, expect)
+
+
+@pytest.mark.parametrize("sol", [P1_SOL, P2_SOL, P4_SOL], ids=lambda sol: sol[0])
+def test_matrix_a_lower_rows_are_b_beside_k(sol):
+    name, x, y, mu, xi = sol
+    problem = fixture(name)
+    u = point(x, y, mu, xi)
+    sr = implicit_jacobians(problem, u.x, u.y, u.mu, u.xi)
+    b = _assemble_b(point_eval(problem, u.x, u.y), u.mu, u.xi, np.diag(sr.W))
+    assert np.array_equal(matrix_a(problem, u)[problem.p:], np.hstack([b, sr.K]))
 
 
 def test_fp_constraint_jacobian_matches_fd():
