@@ -13,6 +13,7 @@ problem function undefined at an evaluated point, 3 dimension error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -714,10 +715,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """One (parser, value flags) pair per process: parsing leaves a parser unchanged."""
+    parser = build_parser()
+    return parser, _value_flags(parser)
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_absorb_negative_values(raw, _value_flags(parser)))
+    parser, value_flags = _shared_parser()
+    args = parser.parse_args(_absorb_negative_values(raw, value_flags))
     try:
         return args.func(args, raw)
     except CliError as exc:

@@ -11,9 +11,17 @@ Grammar (lowest to highest precedence):
 Variables are x<k> / y<k> with 1-based indices; recognized calls are sin, cos,
 exp, log, sqrt.  Whitespace is insignificant.  Differentiation is symbolic
 with constant folding and 0/1 identities only, so printing and reparsing any
-tree built here reproduces it node for node.  `compile_expr` differentiates
-nothing: a `CompiledFunction` builds its derivative trees on first request,
-and its Hessian tables list only the entries that are not Const(+0.0).
+tree built here reproduces it node for node.
+
+Differentiating a node stores two things on it, outside its dataclass fields
+(so equality, hashing and repr ignore them): its free-variable set, and its
+zero derivative, the tree `diff` gives for any variable the node does not
+read.  `diff` returns that stored tree at once for such a variable, and the
+result is the same tree, -0.0 included, that full recursion would build.
+Parsing and `compile_expr` store nothing and differentiate nothing: a
+`CompiledFunction` builds its derivative trees on first request, its Hessian
+tables list only the entries that are not Const(+0.0), and their rows visit
+only the variables in the row tree's free set.
 """
 
 from __future__ import annotations
@@ -321,8 +329,58 @@ def parse(text: str, n: int, m: int) -> Expr:
 
 # ---- differentiation ----
 
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, PowInt):
+        return (e.base,)
+    if isinstance(e, (Const, Var)):
+        return ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _free(e: Expr) -> frozenset:
+    """The (axis, index) variables e reads, stored on the node at first use."""
+    kept = getattr(e, "__dict__", {}).get("_free")
+    if kept is None:
+        if isinstance(e, Var):
+            kept = frozenset([(e.axis, e.index)])
+        else:
+            kept = frozenset().union(*map(_free, _children(e)))
+        e.__dict__["_free"] = kept
+    return kept
+
+
+def _zero_derivative(e: Expr) -> Expr:
+    """diff(e, v) for every v that e does not read, stored on the node at first use.
+
+    diff tells variables apart only at Var nodes, so this one tree serves
+    every such v; it is built from the children's stored zero derivatives.
+    """
+    kept = e.__dict__.get("_zero")
+    if kept is None:
+        kept = e.__dict__["_zero"] = _diff(e, None, 0)
+    return kept
+
+
+def _is_plus_zero(e: Expr) -> bool:
+    """Exactly Const(+0.0): not -0.0, and not NaN, which compares unequal to everything."""
+    return isinstance(e, Const) and e.value == 0.0 and math.copysign(1.0, e.value) > 0
+
+
 def diff(e: Expr, axis: str, index: int) -> Expr:
-    """Exact partial derivative with respect to x<index> or y<index>."""
+    """Exact partial derivative with respect to x<index> or y<index>.
+
+    A variable outside e's free set gets e's stored zero derivative at once.
+    """
+    if (axis, index) in _free(e):
+        return _diff(e, axis, index)
+    return _zero_derivative(e)
+
+
+def _diff(e: Expr, axis, index) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
@@ -506,7 +564,10 @@ class CompiledFunction:
 
     A Hessian table is a tuple of (i, k, tree) entries without the trees equal
     to Const(+0.0); a symmetric block lists its upper triangle (k >= i) in
-    row-major order and is mirrored when evaluated.
+    row-major order and is mirrored when evaluated.  Row i differentiates
+    partial tree i only in the variables that tree reads, unless its zero
+    derivative is not exactly Const(+0.0): then every k is listed, so a
+    Const(-0.0) or NaN entry stays.  The dense return shapes do not change.
     """
 
     expr: Expr
@@ -525,15 +586,27 @@ class CompiledFunction:
 
     @cached_property
     def _hxx(self) -> tuple:
-        return _entries(self.x_partials, "x", self.n, upper=True)
+        return _entries(enumerate(self.x_partials), "x", self.n, upper=True)
 
     @cached_property
     def _hxy(self) -> tuple:
-        return _entries(self.x_partials, "y", self.m, upper=False)
+        return _entries(enumerate(self.x_partials), "y", self.m, upper=False)
 
     @cached_property
     def _hyy(self) -> tuple:
-        return _entries(self.y_partials, "y", self.m, upper=True)
+        return _entries(enumerate(self.y_partials), "y", self.m, upper=True)
+
+    @cached_property
+    def _dy_hess(self) -> tuple:
+        # per j, the Hessian tables of d/dyj joined over the (x, y) index, x first;
+        # only the partial rows that may differ from Const(+0.0) are built
+        n, m, tables = self.n, self.m, []
+        for t in self.y_partials:
+            x_rows, y_rows = _rows(t, "x", n), _rows(t, "y", m)
+            tables.append(_entries(x_rows, "x", n, upper=True)
+                          + tuple((i, n + k, e) for i, k, e in _entries(x_rows, "y", m, upper=False))
+                          + tuple((n + i, n + k, e) for i, k, e in _entries(y_rows, "y", m, upper=True)))
+        return tuple(tables)
 
     def value(self, x, y) -> float:
         return evaluate(self.expr, x, y)
@@ -553,13 +626,34 @@ class CompiledFunction:
     def hess_yy(self, x, y) -> np.ndarray:
         return _eval_table(self._hyy, x, y, (self.m, self.m), mirror=True)
 
+    def dy_hessian(self, j: int, x, y) -> list:
+        """Third derivatives: the (x, y) Hessian of d/dy<j+1> as sparse (a, b, value) entries.
 
-def _entries(grads, axis, size, upper) -> tuple:
-    table = ((i, k, diff(g, axis, k + 1))
-             for i, g in enumerate(grads) for k in range(i if upper else 0, size))
+        a <= b index the joint vector (x1..xn, y1..ym); unlisted entries are 0.
+        """
+        return [(a, b, evaluate(t, x, y)) for a, b, t in self._dy_hess[j]]
+
+
+def _candidates(e: Expr, axis: str, lo: int, size: int):
+    """The 0-based k in [lo, size) whose partial of e may differ from Const(+0.0).
+
+    Those e reads, when its zero derivative is exactly Const(+0.0); else every k.
+    """
+    if _is_plus_zero(_zero_derivative(e)):
+        return sorted(k - 1 for ax, k in _free(e) if ax == axis and lo < k <= size)
+    return range(lo, size)
+
+
+def _rows(e: Expr, axis: str, size: int) -> list:
+    """(i, partial tree) for the i of _candidates: every other partial is exactly Const(+0.0)."""
+    return [(i, diff(e, axis, i + 1)) for i in _candidates(e, axis, 0, size)]
+
+
+def _entries(rows, axis, size, upper) -> tuple:
+    table = [(i, k, diff(g, axis, k + 1))
+             for i, g in rows for k in _candidates(g, axis, i if upper else 0, size)]
     # Const(-0.0) stays: np.zeros would turn it into +0.0
-    return tuple((i, k, t) for i, k, t in table
-                 if not (t == ZERO and math.copysign(1.0, t.value) > 0))
+    return tuple(entry for entry in table if not _is_plus_zero(entry[2]))
 
 
 def _eval_table(entries, x, y, shape, mirror) -> np.ndarray:

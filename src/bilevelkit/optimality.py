@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .lower import (
     RANK_REL,
     TAU_ACT,
@@ -230,12 +229,9 @@ def recover_multipliers(problem: BilevelProblem, u: PrimalDualPoint, lam_H=None,
     return sol[:m], sol[m:m + r], sol[m + r:]
 
 
-def _xy_hessian(source, *args) -> np.ndarray:
-    """Full (x, y) Hessian from the blocks source.hess_xx/hess_xy/hess_yy(*args).
-
-    source is a PointEval (args: the function) or a CompiledFunction (args: x, y).
-    """
-    hess_xx, hess_xy, hess_yy = source.hess_xx(*args), source.hess_xy(*args), source.hess_yy(*args)
+def _xy_hessian(rec: PointEval, fn) -> np.ndarray:
+    """Full (x, y) Hessian of one problem function from the record's three blocks."""
+    hess_xx, hess_xy, hess_yy = rec.hess_xx(fn), rec.hess_xy(fn), rec.hess_yy(fn)
     return np.block([[hess_xx, hess_xy], [hess_xy.T, hess_yy]])
 
 
@@ -247,11 +243,11 @@ def fp_hessian(
 ) -> np.ndarray:
     """Exact symmetric second derivative of the reformulated Lagrangian.
 
-    Assembled from second derivatives of the problem functions only.  The
-    lam_L.grad_y(lowL) term is differentiated twice in (x, y) by symbolic
-    differentiation of that scalar with mu, xi, lam_L as constants, which is
-    where third derivatives of f, g, h enter exactly.  The (mu, xi) diagonal
-    block is identically zero.
+    Assembled from derivatives of the problem functions only.  The (x, y)
+    Hessian of phi = lam_L.grad_y(lowL) is where third derivatives of f, g
+    and h enter; it is contracted numerically from each lower function's
+    cached tables of d/dyj's Hessian (`_phi_hessian`), so no tree is built
+    per call.  The (mu, xi) diagonal block is identically zero.
     """
     mu, xi = u.mu, u.xi
     n, m, r, s = problem.n, problem.m, problem.r, problem.s
@@ -270,19 +266,7 @@ def fp_hessian(
     for coef, wi, fn in zip(lam.lam_g, w, problem.g):
         if coef and wi != 1.0:
             top += coef * (1.0 - wi) * _xy_hessian(rec, fn)
-
-    # scalar phi = lam_L . grad_y lowL, built symbolically so its (x, y)
-    # Hessian carries the exact third-derivative contractions
-    phi = ex.ZERO
-    for j in range(m):
-        term = problem.f.y_partials[j]
-        for coef, fn in zip(mu, problem.h):
-            term = ex.add(term, ex.mul(ex.Const(float(coef)), fn.y_partials[j]))
-        for coef, fn in zip(xi, problem.g):
-            term = ex.add(term, ex.mul(ex.Const(float(coef)), fn.y_partials[j]))
-        phi = ex.add(phi, ex.mul(ex.Const(float(lam.lam_L[j])), term))
-    phi_fn = ex.compile_expr(phi, n, m)
-    top += _xy_hessian(phi_fn, rec.x, rec.y)
+    top += _phi_hessian(rec, lam.lam_L, mu, xi)
 
     gamma[:nv, :nv] = top
 
@@ -294,6 +278,30 @@ def fp_hessian(
         gamma[nv + k, :nv] = col
 
     return gamma
+
+
+def _phi_hessian(rec: PointEval, lam_L, mu, xi) -> np.ndarray:
+    """(x, y) Hessian of phi = sum_j lam_L[j] (df/dyj + mu.dh/dyj + xi.dg/dyj).
+
+    Entry by entry, each j's bracket is summed in the order f, h, g and then
+    scaled by lam_L[j].  A term whose coefficient is exactly 0 is skipped, so
+    its third derivatives are never evaluated and raise no DomainError.
+    """
+    problem = rec.problem
+    nv = problem.n + problem.m
+    terms = [(coef, fn) for coef, fn in itertools.chain(
+        [(1.0, problem.f)], zip(mu, problem.h), zip(xi, problem.g)) if coef]
+    phi = np.zeros((nv, nv))
+    for j, lam_j in enumerate(lam_L):
+        if not lam_j:
+            continue
+        bracket = {}
+        for coef, fn in terms:
+            for a, b, v in fn.dy_hessian(j, rec.x, rec.y):
+                bracket[a, b] = bracket.get((a, b), 0.0) + coef * v
+        for (a, b), v in bracket.items():
+            phi[a, b] += lam_j * v
+    return phi + np.triu(phi, 1).T
 
 
 def _equality_jacobian(rec: PointEval, mu, xi, w: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, reports, determinism."""
 
+import functools
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bilevelkit import cli
-from bilevelkit.cli import main
+from bilevelkit.cli import build_parser, main
 
 REPORT_KEYS = [
     "command", "problem_hash", "inputs", "verdicts", "evidence",
@@ -79,6 +80,44 @@ def test_check_report_is_deterministic(tmp_path):
         return re.sub(r'"wall_time_s": [0-9eE+.-]+', '"wall_time_s": 0', text)
 
     assert strip_wall(first) == strip_wall(second)
+
+
+def test_main_builds_one_parser_for_every_command(tmp_path, monkeypatch, capsys):
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_shared_parser", functools.cache(cli._shared_parser.__wrapped__))
+    calls = [
+        (["check", "--fixture", "P4", "--x", "-1", "--y", "0", "--xi", "1"], 0),
+        (["sens", "--fixture", "P1", "--x", "0", "--fd-step", "-1e-5"], 2),
+        (["sens", "--fixture", "P1", "--x", "0"], 0),
+        (["check", "--fixture", "P1", "--x", "0,1", "--y", "1"], 3),
+    ]
+
+    def run_all(fresh_parsers):
+        reports = []
+        for argv, code in calls:
+            if fresh_parsers:
+                cli._shared_parser.cache_clear()
+            out = tmp_path / "report.json"
+            out.unlink(missing_ok=True)
+            assert main(argv + ["--json", str(out)]) == code
+            text = out.read_text() if out.exists() else ""
+            reports.append(re.sub(r'"wall_time_s": [0-9eE+.-]+', "", text))
+        return reports
+
+    fresh = run_all(fresh_parsers=True)  # a parser per call, as main once built
+    assert len(builds) == len(calls)
+    builds.clear()
+    assert run_all(fresh_parsers=False) == fresh
+    assert builds == []
+    assert fresh[0] and fresh[2] and not fresh[1] and not fresh[3]
+    assert build_parser() is not build_parser()
 
 
 def test_sens_active_branch_jacobians(tmp_path, capsys):

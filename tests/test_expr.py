@@ -1,5 +1,6 @@
 """Parser, differentiation, and printer tests for the expression core."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,20 @@ from hypothesis import strategies as st
 
 from bilevelkit import expr
 from bilevelkit.expr import (
+    FUNCTIONS,
+    ONE,
     ZERO,
+    Add,
+    Call,
+    Const,
+    Div,
     DomainError,
+    Mul,
+    Neg,
     ParseError,
+    PowInt,
+    Sub,
+    Var,
     compile_expr,
     diff,
     evaluate,
@@ -195,6 +207,14 @@ def _family_text(n, m):
     return "\n".join(rows + [f"lower.ineq 0.2 - y{i + 1}" for i in range(m)]) + "\n"
 
 
+def _nodes(e):
+    yield e
+    for field in dataclasses.fields(e):
+        child = getattr(e, field.name)
+        if dataclasses.is_dataclass(child):
+            yield from _nodes(child)
+
+
 def test_load_problem_differentiates_nothing(monkeypatch):
     calls = []
     original = expr.diff
@@ -207,18 +227,93 @@ def test_load_problem_differentiates_nothing(monkeypatch):
     problem = load_problem(_family_text(5, 40))
     assert calls == []
     fns = (problem.F, problem.f) + problem.g
+    # nor are free sets or zero derivatives stored: that work starts at the first diff
+    stored = [node for fn in fns for node in _nodes(fn.expr)
+              if "_free" in vars(node) or "_zero" in vars(node)]
+    assert stored == []
     # 130 of the 76,650 dense Hessian entries are not Const(+0.0)
     assert sum(len(fn._hxx) + len(fn._hxy) + len(fn._hyy) for fn in fns) == 130
     assert calls  # the tables were built on that first request
 
 
+def _plain_diff(e, axis, index):
+    """The recursive diff without free sets or stored zero derivatives: the oracle for expr.diff."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if (e.axis == axis and e.index == index) else ZERO
+    if isinstance(e, Neg):
+        return expr.neg(_plain_diff(e.arg, axis, index))
+    if isinstance(e, Add):
+        return expr.add(_plain_diff(e.left, axis, index), _plain_diff(e.right, axis, index))
+    if isinstance(e, Sub):
+        return expr.sub(_plain_diff(e.left, axis, index), _plain_diff(e.right, axis, index))
+    if isinstance(e, Mul):
+        return expr.add(
+            expr.mul(_plain_diff(e.left, axis, index), e.right),
+            expr.mul(e.left, _plain_diff(e.right, axis, index)),
+        )
+    if isinstance(e, Div):
+        return expr.div(
+            expr.sub(
+                expr.mul(_plain_diff(e.left, axis, index), e.right),
+                expr.mul(e.left, _plain_diff(e.right, axis, index)),
+            ),
+            expr.powi(e.right, 2),
+        )
+    if isinstance(e, PowInt):
+        return expr.mul(
+            expr.mul(Const(float(e.exponent)), expr.powi(e.base, e.exponent - 1)),
+            _plain_diff(e.base, axis, index),
+        )
+    inner = _plain_diff(e.arg, axis, index)
+    if e.name == "sin":
+        return expr.mul(expr.call("cos", e.arg), inner)
+    if e.name == "cos":
+        return expr.mul(expr.neg(expr.call("sin", e.arg)), inner)
+    if e.name == "exp":
+        return expr.mul(expr.call("exp", e.arg), inner)
+    if e.name == "log":
+        return expr.div(inner, e.arg)
+    return expr.div(inner, expr.mul(Const(2.0), expr.call("sqrt", e.arg)))
+
+
+_VARIABLES = [("x", 1), ("x", 2), ("y", 1), ("y", 2)]
+
+
+def _plain_tables(e, n, m):
+    """The three Hessian tables from _plain_diff over every (i, k), without exact Const(+0.0) trees."""
+    def table(axis_i, size_i, axis_k, size_k, symmetric):
+        return tuple(
+            (i, k, t)
+            for i in range(size_i)
+            for k in range(i if symmetric else 0, size_k)
+            for t in [_plain_diff(_plain_diff(e, axis_i, i + 1), axis_k, k + 1)]
+            if not (isinstance(t, Const) and t.value == 0.0 and math.copysign(1.0, t.value) > 0)
+        )
+
+    return table("x", n, "x", n, True), table("x", n, "y", m, False), table("y", m, "y", m, True)
+
+
+def _assert_diff_matches_plain_oracle(e):
+    """diff and the Hessian tables equal the plain oracle by repr, so zero and NaN signs count."""
+    for axis, index in _VARIABLES:
+        first = diff(e, axis, index)
+        assert repr(first) == repr(_plain_diff(e, axis, index))
+        for axis2, index2 in _VARIABLES:
+            assert repr(diff(first, axis2, index2)) == repr(_plain_diff(first, axis2, index2))
+    fn = compile_expr(e, 2, 2)
+    assert repr((fn._hxx, fn._hxy, fn._hyy)) == repr(_plain_tables(e, 2, 2))
+
+
 def _dense_oracle(e, n, m, x, y):
-    """Every Hessian entry from diff(diff(e, .), .), upper triangle mirrored on symmetric blocks."""
+    """Every Hessian entry from the plain oracle, upper triangle mirrored on symmetric blocks."""
     def block(axis_i, size_i, axis_k, size_k, symmetric):
         out = np.zeros((size_i, size_k))
         for i in range(size_i):
             for k in range(i if symmetric else 0, size_k):
-                out[i, k] = evaluate(diff(diff(e, axis_i, i + 1), axis_k, k + 1), x, y)
+                t = _plain_diff(_plain_diff(e, axis_i, i + 1), axis_k, k + 1)
+                out[i, k] = evaluate(t, x, y)
                 if symmetric:
                     out[k, i] = out[i, k]
         return out
@@ -228,6 +323,7 @@ def _dense_oracle(e, n, m, x, y):
 
 def _assert_hessians_match_oracle(text):
     e = parse(text, 2, 2)
+    _assert_diff_matches_plain_oracle(e)
     fn = compile_expr(e, 2, 2)
     for tables in (fn._hxx, fn._hxy, fn._hyy):
         assert not any(t == ZERO and math.copysign(1.0, t.value) > 0 for _, _, t in tables)
@@ -249,3 +345,52 @@ def test_sparse_hessians_equal_dense_oracle_bitwise(text):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sparse_hessians_equal_dense_oracle_on_composed_trees(seed):
     _assert_hessians_match_oracle(_composed_text(seed))
+
+
+# raw nodes, not smart constructors, so -0.0, NaN and inf constants sit anywhere in a tree
+_LEAVES = st.one_of(
+    st.builds(Var, st.sampled_from("xy"), st.integers(min_value=1, max_value=2)),
+    st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf])),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(lambda node, a, b: node(a, b), st.sampled_from([Add, Sub, Mul, Div]),
+                  children, children),
+        st.builds(PowInt, children, st.integers(min_value=-2, max_value=3)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.recursive(_LEAVES, _branches, max_leaves=8))
+def test_diff_equals_plain_oracle_on_composed_trees(e):
+    _assert_diff_matches_plain_oracle(e)
+
+
+@pytest.mark.parametrize("e", [
+    Const(-0.0),
+    Const(math.nan),
+    Neg(Var("y", 1)),  # its zero derivative is Const(-0.0)
+    Mul(Const(-0.0), Var("x", 1)),
+    Add(Const(math.nan), Mul(Var("x", 1), Var("y", 2))),
+    Mul(Mul(Const(math.inf), Var("x", 1)), Var("y", 1)),  # zero derivative Const(nan)*y1
+    Mul(Mul(Const(math.nan), Var("x", 1)), Var("y", 1)),  # rows with a +NaN zero derivative
+    Neg(Mul(Var("x", 2), Var("y", 1))),
+    Div(Var("y", 2), Const(-0.0)),
+], ids=repr)
+def test_diff_equals_plain_oracle_on_signed_zero_and_nan_leaves(e):
+    _assert_diff_matches_plain_oracle(e)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+def test_zero_derivative_rows_list_every_k(scale):
+    # d/dx1 = scale*y1 reads only y1, but its zero derivative is a NaN constant (of either
+    # sign bit, so copysign alone cannot tell it from +0.0): every k is listed
+    fn = compile_expr(Mul(Mul(Const(scale), Var("x", 1)), Var("y", 1)), 2, 2)
+    assert [(i, k) for i, k, _ in fn._hxy] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # free set skipping: x1^2*y2 lists only the k its partial trees read
+    fn = compile_expr(parse("x1^2*y2", 2, 2), 2, 2)
+    assert [(i, k) for i, k, _ in fn._hxy] == [(0, 1)]

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from test_expr import _family_text
 
+from bilevelkit import expr
 from bilevelkit.lower import _assemble_b, point_eval
 from bilevelkit.numerics import fd_hessian, fd_jacobian
 from bilevelkit.optimality import (
@@ -331,6 +333,52 @@ lower.ineq y1 - 5
 
     fd = fd_hessian(grad, flatten(u), h=1e-5)
     assert np.abs(gamma - fd).max() <= 1e-5
+
+
+def test_repeated_fp_hessian_differentiates_nothing(monkeypatch):
+    # the third-derivative tables are built on the first call; later calls only contract them
+    problem = load_problem(_family_text(3, 6))
+    rng = np.random.default_rng(5)
+
+    def random_point():
+        return point(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 6), [], rng.uniform(0.1, 1, 6))
+
+    lam = UpperMultiplier(lam_H=np.zeros(0), lam_G=np.zeros(0), lam_L=rng.uniform(-1, 1, 6),
+                          lam_h=np.zeros(0), lam_g=rng.uniform(-1, 1, 6))
+    u0, u1 = random_point(), random_point()
+    first = fp_hessian(problem, u0, lam)
+    calls = []
+    original = expr.diff
+
+    def counted(e, axis, index):
+        calls.append(axis)
+        return original(e, axis, index)
+
+    monkeypatch.setattr(expr, "diff", counted)
+    second = fp_hessian(problem, u1, lam)
+    assert calls == []
+    assert np.abs(second[:9, :9]).max() > 0.0  # the 0.1*y^4 terms give third derivatives
+    assert np.array_equal(fp_hessian(problem, u0, lam), first)
+
+
+def test_fp_hessian_skips_terms_with_zero_coefficients(monkeypatch):
+    # as the symbolic phi folded mul(Const(0.0), t) away: third derivatives of a term
+    # whose coefficient is exactly 0 (either sign) are never evaluated
+    problem = load_problem(_family_text(3, 6))
+    lam_L = np.array([0.5, 0.0, -1.0, -0.0, 2.0, 0.0])
+    xi = np.array([0.0, 0.7, 0.0, 0.0, -0.0, 0.0])
+    lam = UpperMultiplier(lam_H=np.zeros(0), lam_G=np.zeros(0), lam_L=lam_L,
+                          lam_h=np.zeros(0), lam_g=np.ones(6))
+    seen = []
+    original = expr.CompiledFunction.dy_hessian
+
+    def recorded(fn, j, x, y):
+        seen.append((problem.g.index(fn) if fn in problem.g else "f", j))
+        return original(fn, j, x, y)
+
+    monkeypatch.setattr(expr.CompiledFunction, "dy_hessian", recorded)
+    fp_hessian(problem, point([0.2, -0.4, 0.9], [0.5, 0.3, 0.8, 0.6, 0.4, 0.7], [], xi), lam)
+    assert seen == [(fn, j) for j in (0, 2, 4) for fn in ("f", 1)]
 
 
 def test_second_order_p2_evidence():
